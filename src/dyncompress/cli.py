@@ -7,7 +7,6 @@ Big integers are emitted as decimal strings.  Exit codes: 0 on success,
 from __future__ import annotations
 
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +22,7 @@ from .dynamics import (
     preimage_count_exact,
 )
 from .families import compressing_poly_binomial
-from .geometry import PRECISION_ENV, minkowski_check
+from .geometry import minkowski_check, precision_override
 from .lattice import build_lattice, harvest, lll_reduce
 from .polynomials import poly_from_json, poly_to_json
 from .sweep import default_k_schedule, sweep_to_file
@@ -58,18 +57,6 @@ def _parse_delta(text: str | None) -> Fraction:
     if not Fraction(1, 4) < delta < 1:
         raise click.UsageError(f"--delta must lie strictly between 1/4 and 1, got {delta}")
     return delta
-
-
-def _default_precision(flag: int | None, fallback: int) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get(PRECISION_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise click.UsageError(f"{PRECISION_ENV} must be an integer, got {env!r}")
-    return fallback
 
 
 @click.group()
@@ -121,16 +108,14 @@ def search(degree: int, k: int | None, delta: str | None):
     if degree < 2:
         raise click.UsageError(f"--degree must be at least 2, got {degree}")
     dlt = _parse_delta(delta)
-    if k is not None:
-        if k < 1:
-            raise click.UsageError(f"--k must be at least 1, got {k}")
-        witnesses = harvest(lll_reduce(build_lattice(degree, k), dlt))
-    else:
-        witnesses = []
-        for kk in default_k_schedule(degree):
-            witnesses = harvest(lll_reduce(build_lattice(degree, kk), dlt))
-            if witnesses:
-                break
+    if k is not None and k < 1:
+        raise click.UsageError(f"--k must be at least 1, got {k}")
+    schedule = default_k_schedule(degree) if k is None else (k,)
+    witnesses = []
+    for width in schedule:
+        witnesses = harvest(lll_reduce(build_lattice(degree, width), dlt))
+        if witnesses:
+            break
     _echo_json([w.to_json() for w in witnesses])
 
 
@@ -221,11 +206,10 @@ def common_depth(poly_path: str, shift: int, max_pre: int, max_per: int,
         raise click.UsageError(
             f"need --max-pre >= 0 and --max-per >= 1, got {max_pre}, {max_per}"
         )
-    bits = _default_precision(precision, 128)
     try:
         report = common_preper_depth_search(
             f, f + shift, max_pre=max_pre, max_per=max_per,
-            precision_bits=bits, tol=tol,
+            precision_bits=precision_override(precision) or 128, tol=tol,
         )
     except (OrbitUndecided, RootFindingError) as exc:
         _echo_json({"error": str(exc)})

@@ -106,17 +106,29 @@ def build_interpolation_matrix(d: int, k: int) -> InterpolationMatrix:
     return InterpolationMatrix(d=d, k=k, entries=tuple(rows))
 
 
-def resolve_precision(precision_bits: Optional[int], d: int, k: int) -> int:
-    """Explicit argument, else environment override, else max(64, 2*(d+k))."""
+def precision_override(precision_bits: Optional[int]) -> Optional[int]:
+    """Explicit argument, else the DYNCOMPRESS_PRECISION_BITS value, else None.
+
+    An empty environment variable counts as unset.  Raises ValueError when
+    the environment value is not an integer or the chosen value is below 64.
+    """
     if precision_bits is None:
         env = os.environ.get(PRECISION_ENV)
-        if env:
+        if not env:
+            return None
+        try:
             precision_bits = int(env)
-    if precision_bits is None:
-        return max(64, 2 * (d + k))
+        except ValueError:
+            raise ValueError(f"{PRECISION_ENV} must be an integer, got {env!r}")
     if precision_bits < 64:
-        raise ValueError("precision_bits must be at least 64")
+        raise ValueError(f"precision must be at least 64 bits, got {precision_bits}")
     return precision_bits
+
+
+def resolve_precision(precision_bits: Optional[int], d: int, k: int) -> int:
+    """precision_override(precision_bits), else max(64, 2*(d+k)) bits."""
+    bits = precision_override(precision_bits)
+    return max(64, 2 * (d + k)) if bits is None else bits
 
 
 def _gram_eigenvalues(rows: Sequence[Sequence[int]], prec_bits: int) -> list:

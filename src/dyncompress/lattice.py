@@ -7,7 +7,10 @@ additive shift they become compression-window candidates.  Reduction is the
 classical LLL algorithm run entirely over integers: instead of rational
 Gram-Schmidt data it maintains the Gram determinants d_i and the scaled
 coefficients lambda[i][j] = d_j * mu[i][j], which stay integral throughout,
-so every size-reduction and swap decision is exact.
+so every size-reduction and swap decision is exact.  Only the reduced vectors
+are returned; certificates come from exact re-verification in harvest, and
+the coordinates of any vector in a basis are recovered exactly by
+lattice_coordinates.
 """
 from __future__ import annotations
 
@@ -36,17 +39,16 @@ class LatticeBasis:
         )
 
 
+class LatticeInvariantError(RuntimeError):
+    """An exact LLL or harvest invariant broke: a bug, never a search outcome."""
+
+
 @dataclass(frozen=True)
 class ReducedBasis:
-    """LLL output: reduced vectors, the delta used, and the unimodular transform.
-
-    transform[i] gives the integer coordinates of vectors[i] in the original
-    basis; |det(transform)| = 1.
-    """
+    """LLL output: reduced vectors spanning the input lattice, and the delta used."""
 
     vectors: tuple[tuple[int, ...], ...]
     delta: Fraction
-    transform: tuple[tuple[int, ...], ...]
 
 
 def build_lattice(d: int, k: int) -> LatticeBasis:
@@ -70,8 +72,16 @@ def _round_quotient(num: int, den: int) -> int:
     return q
 
 
+def _exact_quotient(num: int, den: int) -> int:
+    """num / den for an exact division; anything else breaks the integer LLL."""
+    q, r = divmod(num, den)
+    if r:
+        raise LatticeInvariantError("integer LLL invariant broken: inexact division")
+    return q
+
+
 def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> ReducedBasis:
-    """Exact LLL reduction with unimodular transform tracking.
+    """Exact LLL reduction of an integer basis.
 
     Runs the integer-scaled variant: all state (Gram determinants, scaled
     Gram-Schmidt coefficients) is integral, and the Lovász test
@@ -86,7 +96,6 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Reduced
 
     b = [list(v) for v in basis.vectors]
     n = len(b)
-    h = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # transform
     # dd[i+1] = det Gram(b_0..b_i); dd[0] = 1 sentinel
     dd = [0] * (n + 1)
     dd[0] = 1
@@ -98,27 +107,20 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Reduced
             return
         r = _round_quotient(lam[i][j], dd[j + 1])
         b[i] = [x - r * y for x, y in zip(b[i], b[j])]
-        h[i] = [x - r * y for x, y in zip(h[i], h[j])]
         lam[i][j] -= r * dd[j + 1]
         for t in range(j):
             lam[i][t] -= r * lam[j][t]
 
     def swap(i, kmax):
         b[i], b[i - 1] = b[i - 1], b[i]
-        h[i], h[i - 1] = h[i - 1], h[i]
         for t in range(i - 1):
             lam[i][t], lam[i - 1][t] = lam[i - 1][t], lam[i][t]
         lam_val = lam[i][i - 1]
-        new_d, rem = divmod(dd[i - 1] * dd[i + 1] + lam_val * lam_val, dd[i])
-        assert rem == 0, "integer LLL invariant broken"
+        new_d = _exact_quotient(dd[i - 1] * dd[i + 1] + lam_val * lam_val, dd[i])
         for t in range(i + 1, kmax + 1):
             old = lam[t][i]
-            num = dd[i + 1] * lam[t][i - 1] - lam_val * old
-            lam[t][i], rem = divmod(num, dd[i])
-            assert rem == 0
-            num = new_d * old + lam_val * lam[t][i]
-            lam[t][i - 1], rem = divmod(num, dd[i + 1])
-            assert rem == 0
+            lam[t][i] = _exact_quotient(dd[i + 1] * lam[t][i - 1] - lam_val * old, dd[i])
+            lam[t][i - 1] = _exact_quotient(new_d * old + lam_val * lam[t][i], dd[i + 1])
         dd[i] = new_d
 
     def init_row(i):
@@ -126,8 +128,7 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Reduced
         for j in range(i + 1):
             u = sum(x * y for x, y in zip(b[i], b[j]))
             for t in range(j):
-                u, rem = divmod(dd[t + 1] * u - lam[i][t] * lam[j][t], dd[t])
-                assert rem == 0
+                u = _exact_quotient(dd[t + 1] * u - lam[i][t] * lam[j][t], dd[t])
             if j < i:
                 lam[i][j] = u
             else:
@@ -152,11 +153,7 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Reduced
                 red(i, j)
             i += 1
 
-    return ReducedBasis(
-        vectors=tuple(tuple(v) for v in b),
-        delta=delta,
-        transform=tuple(tuple(row) for row in h),
-    )
+    return ReducedBasis(vectors=tuple(tuple(v) for v in b), delta=delta)
 
 
 def harvest(reduced: ReducedBasis) -> list[CompressionWitness]:
@@ -210,7 +207,8 @@ def harvest(reduced: ReducedBasis) -> list[CompressionWitness]:
             continue
         seen.add(f.coeffs)
         verified = check_window(f, width, n)
-        assert isinstance(verified, CompressionWitness)
+        if not isinstance(verified, CompressionWitness):
+            raise LatticeInvariantError(f"[{width}] -> [{n}] failed re-verification")
         out.append(verified)
     out.sort(key=lambda w: (w.n, w.poly.coeffs))
     return out

@@ -113,6 +113,8 @@ def test_volume_command(runner):
     assert out["pairs"] == "0"
     # too small for the default extension width: domain error becomes exit 2
     assert runner.invoke(main, ["volume", "-d", "100", "--ell", "2"]).exit_code == 2
+    bad = ["volume", "-d", "2", "--ell", "2", "--k", "2", "--precision", "32"]
+    assert runner.invoke(main, bad).exit_code == 2
     res = runner.invoke(main, ["volume", "-d", "256", "--ell", "2"])
     assert res.exit_code == 0
     assert json.loads(res.output)["holds"] is True
@@ -165,6 +167,16 @@ def test_common_depth_env_precision(runner, quad_file, monkeypatch):
     monkeypatch.setenv("DYNCOMPRESS_PRECISION_BITS", "many")
     res = runner.invoke(
         main, ["common-depth", "--poly", quad_file, "--shift", "1"]
+    )
+    assert res.exit_code == 2
+    monkeypatch.setenv("DYNCOMPRESS_PRECISION_BITS", "")
+    res = runner.invoke(
+        main, ["common-depth", "--poly", quad_file, "--shift", "1"]
+    )
+    assert res.exit_code == 0
+    assert json.loads(res.output)["precision_bits"] == 128
+    res = runner.invoke(
+        main, ["common-depth", "--poly", quad_file, "--shift", "1", "--precision", "32"]
     )
     assert res.exit_code == 2
 

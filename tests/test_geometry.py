@@ -193,3 +193,9 @@ def test_resolve_precision(monkeypatch):
     assert resolve_precision(256, 2, 2) == 256
     with pytest.raises(ValueError):
         resolve_precision(32, 2, 2)
+    monkeypatch.setenv("DYNCOMPRESS_PRECISION_BITS", "")
+    assert resolve_precision(None, 100, 10) == 220
+    for bad in ("32", "many"):
+        monkeypatch.setenv("DYNCOMPRESS_PRECISION_BITS", bad)
+        with pytest.raises(ValueError):
+            resolve_precision(None, 2, 2)

@@ -5,8 +5,11 @@ from itertools import product
 
 import pytest
 
+from dyncompress import lattice
+from dyncompress.compression import WindowRefutation
 from dyncompress.lattice import (
     LatticeBasis,
+    LatticeInvariantError,
     ReducedBasis,
     build_lattice,
     harvest,
@@ -69,6 +72,18 @@ def _det(matrix):
     return det
 
 
+def _combine(coeffs, vectors):
+    """The integer combination sum(coeffs[j] * vectors[j])."""
+    return tuple(sum(c * x for c, x in zip(coeffs, col)) for col in zip(*vectors))
+
+
+def _coordinates(basis, vectors):
+    """Coordinates of each vector in basis, from the exact oracle; all must exist."""
+    rows = [lattice_coordinates(basis, v) for v in vectors]
+    assert None not in rows
+    return tuple(tuple(row) for row in rows)
+
+
 @pytest.mark.parametrize(
     "d,k,delta",
     [
@@ -91,43 +106,48 @@ def test_lll_output_is_lll_reduced(d, k, delta):
 
 @pytest.mark.parametrize("d,k", [(2, 6), (3, 8), (4, 4)])
 def test_lll_transform_is_unimodular(d, k):
+    # the change of basis, recovered exactly, is integral both ways with |det| = 1
     basis = build_lattice(d, k)
     red = lll_reduce(basis)
-    for i, vec in enumerate(red.vectors):
-        combo = [
-            sum(red.transform[i][j] * basis.vectors[j][col] for j in range(len(basis.vectors)))
-            for col in range(len(vec))
-        ]
-        assert tuple(combo) == vec
-    assert abs(_det(red.transform)) == 1
+    forward = _coordinates(basis, red.vectors)
+    for row, vec in zip(forward, red.vectors):
+        assert _combine(row, basis.vectors) == vec
+    backward = _coordinates(LatticeBasis(red.vectors), basis.vectors)
+    for row, vec in zip(backward, basis.vectors):
+        assert _combine(row, red.vectors) == vec
+    assert abs(_det(forward)) == 1
 
 
 def test_lll_size_reduction_only():
-    red = lll_reduce(LatticeBasis(((1, 0), (4, 1))))
+    basis = LatticeBasis(((1, 0), (4, 1)))
+    red = lll_reduce(basis)
     assert red.vectors == ((1, 0), (0, 1))
-    assert red.transform == ((1, 0), (-4, 1))
+    assert _coordinates(basis, red.vectors) == ((1, 0), (-4, 1))
 
 
 def test_lll_swap_orders_by_norm():
-    red = lll_reduce(LatticeBasis(((0, 2), (1, 0))))
+    basis = LatticeBasis(((0, 2), (1, 0)))
+    red = lll_reduce(basis)
     assert red.vectors == ((1, 0), (0, 2))
-    assert red.transform == ((0, 1), (1, 0))
+    assert _coordinates(basis, red.vectors) == ((0, 1), (1, 0))
 
 
 def test_lll_orthogonal_untouched():
-    red = lll_reduce(LatticeBasis(((1, 0), (0, 2))))
+    basis = LatticeBasis(((1, 0), (0, 2)))
+    red = lll_reduce(basis)
     assert red.vectors == ((1, 0), (0, 2))
-    assert red.transform == ((1, 0), (0, 1))
+    assert _coordinates(basis, red.vectors) == ((1, 0), (0, 1))
 
 
 def test_lll_reduced_quadratic_lattice_golden():
-    red = lll_reduce(build_lattice(2, 6))
+    basis = build_lattice(2, 6)
+    red = lll_reduce(basis)
     assert red.vectors == (
         (1, 1, 1, 1, 1, 1, 1, 1),
         (-3, -2, -1, 0, 1, 2, 3, 4),
         (4, 1, -1, -2, -2, -1, 1, 4),
     )
-    assert red.transform == ((1, 0, 0), (-4, 1, 0), (8, -4, 1))
+    assert _coordinates(basis, red.vectors) == ((1, 0, 0), (-4, 1, 0), (8, -4, 1))
 
 
 def test_lll_delta_validation():
@@ -140,6 +160,13 @@ def test_lll_delta_validation():
 def test_lll_rejects_dependent_basis():
     with pytest.raises(ValueError):
         lll_reduce(LatticeBasis(((1, 0), (2, 0))))
+
+
+def test_lll_inexact_division_raises():
+    # the integer LLL's exact divisions raise even under python -O
+    assert lattice._exact_quotient(-12, 4) == -3
+    with pytest.raises(LatticeInvariantError):
+        lattice._exact_quotient(7, 2)
 
 
 def test_quadratic_lattice_spread_floor():
@@ -177,12 +204,16 @@ def test_harvest_empty_for_spread_out_basis():
     vecs = tuple(
         tuple(100 if i == j else 0 for j in range(8)) for i in range(3)
     )
-    red = ReducedBasis(
-        vectors=vecs,
-        delta=Fraction(3, 4),
-        transform=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-    )
-    assert harvest(red) == []
+    assert harvest(ReducedBasis(vectors=vecs, delta=Fraction(3, 4))) == []
+
+
+def test_harvest_raises_when_reverification_fails(monkeypatch):
+    def refute(f, m, n):
+        return WindowRefutation(f, m, n, reason="range")
+
+    monkeypatch.setattr(lattice, "check_window", refute)
+    with pytest.raises(LatticeInvariantError):
+        harvest(lll_reduce(build_lattice(2, 6)))
 
 
 def test_harvest_deterministic():
@@ -196,9 +227,10 @@ def test_harvest_deterministic():
 def test_lattice_coordinates_membership():
     basis = build_lattice(2, 6)
     red = lll_reduce(basis)
-    for i, vec in enumerate(red.vectors):
+    for vec in red.vectors:
         coords = lattice_coordinates(basis, vec)
-        assert coords == list(red.transform[i])
+        assert coords is not None
+        assert _combine(coords, basis.vectors) == vec
     assert lattice_coordinates(basis, (1, 0, 0, 0, 0, 0, 0, 0)) is None
     with pytest.raises(ValueError):
         lattice_coordinates(basis, (1, 2, 3))
