@@ -81,17 +81,20 @@ WindowResult = Union[CompressionWitness, WindowRefutation]
 
 
 def check_window(f: BinomialPoly, m: int, n: int) -> WindowResult:
-    """Exactly verify f([1, m]) inside [1, n] and deg f >= 2."""
+    """Exactly verify f([1, m]) inside [1, n] and deg f >= 2.
+
+    The values f(1..m) come from one walk of f's difference table
+    (BinomialPoly.values, O(m * deg) additions); a refutation names the
+    first x in [1, m] whose value leaves [1, n].
+    """
     if m < 1 or n < 1:
         raise ValueError("window bounds must be positive")
     if f.degree < 2:
         return WindowRefutation(f, m, n, reason="degree")
-    vals = []
-    for i in range(1, m + 1):
-        v = f(i)
+    vals = f.values(1, m)
+    for i, v in enumerate(vals, start=1):
         if not 1 <= v <= n:
             return WindowRefutation(f, m, n, reason="range", failed_at=i, value=v)
-        vals.append(v)
     return CompressionWitness(f, m, n, tuple(vals))
 
 
@@ -105,14 +108,12 @@ def best_window(f: BinomialPoly, m_cap: int) -> Optional[CompressionWitness]:
         raise ValueError("m_cap must be at least 2")
     if f.degree < 2:
         return None
-    vals = []
+    vals = f.values(1, m_cap)
     run_min = None
     run_max = None
     best_m = None
     best_n = None
-    for i in range(1, m_cap + 1):
-        v = f(i)
-        vals.append(v)
+    for i, v in enumerate(vals, start=1):
         run_min = v if run_min is None else min(run_min, v)
         run_max = v if run_max is None else max(run_max, v)
         if run_min >= 1 and i > run_max:
@@ -138,8 +139,10 @@ def reflect(w: CompressionWitness, mode: str = "domain") -> CompressionWitness:
     else:
         raise ValueError(f"unknown reflection mode {mode!r}")
     out = check_window(g, w.m, w.n)
-    assert isinstance(out, CompressionWitness), "reflection must preserve the window"
-    assert out.values == new_vals
+    if not isinstance(out, CompressionWitness):
+        raise RuntimeError(f"{mode} reflection lost the window [{w.m}] -> [{w.n}]")
+    if out.values != new_vals:
+        raise RuntimeError(f"{mode} reflection changed the value vector")
     return out
 
 

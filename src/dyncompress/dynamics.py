@@ -138,9 +138,12 @@ def preper_denominator_bound(f: BinomialPoly) -> int:
         den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
     lead = abs(int(fm.leading * den_lcm))
     bound = 1
-    # primes of D are at most d (D divides d! for integer-valued f)
+    # primes of D are at most d (D divides d! for integer-valued f), so trial
+    # division stops as soon as D is used up
     leftover = lead
-    for p in range(2, den_lcm + 1):
+    p = 1
+    while den_lcm > 1:
+        p += 1
         if den_lcm % p:
             continue
         b = 0

@@ -163,9 +163,13 @@ def harvest(reduced: ReducedBasis) -> list[CompressionWitness]:
     and differences.  Each candidate of length d+k is read as the value
     vector (f(1), ..., f(d+k)), shifted by a constant so its minimum is 1;
     it is kept when the resulting maximum n stays within d+k and the
-    interpolating polynomial has degree >= 2.  The degree comes from finite
-    differences of the first d+1 values and is cross-checked against the
-    remaining k-1 values.  Output is deduplicated, each entry re-verified.
+    interpolating polynomial has degree >= 2.  Candidates are deduplicated on
+    the shifted value vector before anything is interpolated.  The polynomial
+    comes from the forward differences of the first d+1 values and is
+    cross-checked against the remaining k-1 values by one walk of its
+    difference table; each survivor is then re-verified by check_window.
+    Per distinct candidate this is O((d + k) * d) big-integer additions and
+    no multiplication or division.
     """
     vecs = [list(v) for v in reduced.vectors]
     d = len(vecs) - 1
@@ -194,18 +198,17 @@ def harvest(reduced: ReducedBasis) -> list[CompressionWitness]:
         shift = 1 - min(w)
         vals = [x + shift for x in w]
         n = max(vals)
-        if n > width:
+        key = tuple(vals)
+        if n > width or key in seen:
             continue
+        seen.add(key)
         f = interpolate(vals[: d + 1], 1)
         assert isinstance(f, BinomialPoly)
         if f.degree < 2:
             continue
         # lattice membership means the tail must be consistent with degree <= d
-        if any(f(d + 1 + t) != vals[d + t] for t in range(1, k)):
+        if f.values(1, width) != vals:
             continue
-        if f.coeffs in seen:
-            continue
-        seen.add(f.coeffs)
         verified = check_window(f, width, n)
         if not isinstance(verified, CompressionWitness):
             raise LatticeInvariantError(f"[{width}] -> [{n}] failed re-verification")

@@ -2,7 +2,10 @@
 
 Integer-valued polynomials (f with f(Z) subset of Z) are exactly the integer
 combinations of the binomial coefficients C(x, i), so the package represents
-them as integer coefficient vectors in that basis (BinomialPoly).  Ordinary
+them as integer coefficient vectors in that basis (BinomialPoly); those
+coefficients are the forward differences Delta^i f(0), so argument shifts,
+runs of consecutive values and interpolation need only additions and
+subtractions.  Ordinary
 monomial-basis polynomials over exact rationals (RationalPoly) exist for
 constructions that need half-integer shifts and calculus-style manipulation.
 Everything in this module is exact; no floating point.
@@ -11,8 +14,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -37,6 +42,42 @@ def binomial(x: Rat, i: int) -> Rat:
 
 def _as_fraction(x: Rat) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+# A difference table [Delta^0 f(x), Delta^1 f(x), ...] of a polynomial moves
+# between neighbouring integers by the Pascal rule
+# Delta^i f(x + 1) = Delta^i f(x) + Delta^(i+1) f(x), read upwards or downwards
+# (von zur Gathen and Gerhard, ISSAC 1997).  The top entry is constant.
+
+
+def _step_up(table: list[int]) -> list[int]:
+    """The table at x + 1 from the table at x."""
+    return [a + b for a, b in zip(table, table[1:])] + table[-1:]
+
+
+def _step_down(table: list[int]) -> list[int]:
+    """The table at x - 1 from the table at x, top entry first."""
+    out = table[:]
+    for j in range(len(out) - 2, -1, -1):
+        out[j] -= out[j + 1]
+    return out
+
+
+def _forward_differences(samples: list) -> list:
+    """The difference table [Delta^0 s, Delta^1 s, ...] at the first sample."""
+    deltas = []
+    while samples:
+        deltas.append(samples[0])
+        samples = list(map(operator.sub, samples[1:], samples))
+    return deltas
+
+
+def _pascal_steps(table: list[int], t: int) -> list[int]:
+    """The table at x + t from the table at x, by |t| Pascal steps."""
+    step = _step_up if t > 0 else _step_down
+    for _ in range(abs(t)):
+        table = step(table)
+    return table
 
 
 @dataclass(frozen=True)
@@ -81,25 +122,32 @@ class BinomialPoly:
         return acc
 
     def values(self, lo: int, hi: int) -> list[int]:
-        """Exact values f(lo), f(lo+1), ..., f(hi)."""
-        return [self(x) for x in range(lo, hi + 1)]
+        """Exact values f(lo), f(lo+1), ..., f(hi); empty when hi < lo.
+
+        Walks the difference table to lo, then fills in the rest of the
+        table on [lo, hi] by the same Pascal rule, one order at a time from
+        the constant top: each order is the running sum of the one above it,
+        started at its entry at lo.  O((|lo| + hi - lo + 1) * deg) big-integer
+        additions, and no multiplication or division.
+        """
+        if hi < lo:
+            return []
+        table = _pascal_steps(list(self.coeffs), lo) or [0]
+        count = hi - lo + 1
+        row = [table[-1]] * count
+        for start in reversed(table[:-1]):
+            row = list(accumulate(row[: count - 1], initial=start))
+        return row
 
     def shift_argument(self, t: int) -> "BinomialPoly":
         """The polynomial x -> f(x + t), re-based at 0.
 
-        Uses C(x+t, i) = sum_j C(t, i-j) C(x, j), which keeps coefficients
-        integral for integer t.
+        The coefficients are the forward differences Delta^i f(0), so the
+        shifted ones are Delta^i f(t): |t| Pascal steps of the difference
+        table, O(|t| * deg) big-integer additions.  Every caller in the
+        package passes |t| <= 1.
         """
-        if not self.coeffs:
-            return self
-        n = len(self.coeffs)
-        out = [0] * n
-        for j in range(n):
-            s = 0
-            for i in range(j, n):
-                s += self.coeffs[i] * binomial(t, i - j)
-            out[j] = s
-        return BinomialPoly(tuple(out))
+        return BinomialPoly(tuple(_pascal_steps(list(self.coeffs), t)))
 
     def to_monomial(self) -> "RationalPoly":
         """Exact change of basis to monomial coefficients over Q."""
@@ -270,18 +318,9 @@ def interpolate(values: Sequence[Rat], start: int = 0):
             break
     if all_int:
         # forward differences give coefficients in the basis C(x - start, i)
-        diffs = list(ints)
-        deltas = [diffs[0]]
-        for _ in range(1, len(diffs)):
-            diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
-            deltas.append(diffs[0])
-        return BinomialPoly(tuple(deltas)).shift_argument(-start)
+        return BinomialPoly(tuple(_forward_differences(ints))).shift_argument(-start)
     # rational data: Newton form expanded in the monomial basis
-    diffs = [_as_fraction(v) for v in vals]
-    deltas = [diffs[0]]
-    for _ in range(1, len(diffs)):
-        diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
-        deltas.append(diffs[0])
+    deltas = _forward_differences([_as_fraction(v) for v in vals])
     acc = RationalPoly.zero()
     basis = RationalPoly.one()
     for i, delta in enumerate(deltas):
@@ -303,9 +342,7 @@ def to_binomial(f: RationalPoly) -> BinomialPoly:
     for i, v in enumerate(vals):
         if v.denominator != 1:
             raise ValueError(f"not integer-valued: f({i}) = {v}")
-    result = interpolate([int(v) for v in vals], 0)
-    assert isinstance(result, BinomialPoly)
-    return result
+    return BinomialPoly(tuple(_forward_differences([int(v) for v in vals])))
 
 
 def _int_poly_content(coeffs: list[int]) -> int:
@@ -385,7 +422,8 @@ def squarefree_part(f: RationalPoly) -> RationalPoly:
     if g.degree <= 0:
         return _monic(f)
     q, r = poly_divmod(f, g)
-    assert not r.coeffs, "gcd must divide"
+    if r.coeffs:
+        raise RuntimeError("squarefree_part: gcd(f, f') does not divide f")
     return _monic(q)
 
 

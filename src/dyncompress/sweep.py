@@ -92,13 +92,18 @@ def search_degree(
     schedule: Iterable[int],
     delta: Fraction = Fraction(3, 4),
 ) -> list[SweepRecord]:
-    """Try each k in order until a witness is found; one record per attempt."""
+    """Try each k in order until a witness is found; one record per attempt.
+
+    A ValueError of one attempt (a rejected input) becomes that attempt's
+    error record; any other exception, such as LatticeInvariantError, is a
+    bug and propagates.
+    """
     records = []
     for k in schedule:
         t0 = time.perf_counter()
         try:
             witnesses = harvest(lll_reduce(build_lattice(d, k), delta))
-        except Exception as exc:
+        except ValueError as exc:
             elapsed = int(round((time.perf_counter() - t0) * 1000))
             records.append(
                 SweepRecord(d, k, False, None, None, None, elapsed, error=str(exc))

@@ -2,7 +2,9 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import dyncompress.compression as compression
 from dyncompress.compression import (
     CompressionWitness,
     WindowRefutation,
@@ -12,7 +14,7 @@ from dyncompress.compression import (
     reflect,
 )
 from dyncompress.geometry import build_interpolation_matrix
-from dyncompress.polynomials import BinomialPoly
+from dyncompress.polynomials import BinomialPoly, interpolate
 from dyncompress.tables import table1_poly
 
 QUAD = BinomialPoly((11, -4, 1))  # (x^2 - 9x + 22) / 2
@@ -58,6 +60,40 @@ def test_check_window_rejects_bad_bounds():
         check_window(QUAD, 0, 1)
     with pytest.raises(ValueError):
         check_window(QUAD, 5, 0)
+
+
+def check_window_pointwise(f, m, n):
+    """Reference check_window: evaluate f(1), ..., f(m) one point at a time."""
+    if f.degree < 2:
+        return WindowRefutation(f, m, n, reason="degree")
+    vals = []
+    for i in range(1, m + 1):
+        v = f(i)
+        if not 1 <= v <= n:
+            return WindowRefutation(f, m, n, reason="range", failed_at=i, value=v)
+        vals.append(v)
+    return CompressionWitness(f, m, n, tuple(vals))
+
+
+@st.composite
+def windows(draw):
+    """(f, m, n) with n <= m: f has small coefficients or small values on [1, m]."""
+    if draw(st.booleans()):
+        f = BinomialPoly(tuple(draw(st.lists(st.integers(-12, 12), min_size=1, max_size=8))))
+        m = draw(st.integers(1, 24))
+    else:
+        vs = draw(st.lists(st.integers(1, 8), min_size=1, max_size=16))
+        f = interpolate(vs, 1)
+        m = draw(st.integers(1, len(vs) + 2))
+    return f, m, draw(st.integers(1, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows())
+@example((QUAD, 8, 7))
+@example((QUAD, 9, 7))
+def test_check_window_matches_pointwise(window):
+    assert check_window(*window) == check_window_pointwise(*window)
 
 
 def test_best_window_quadratic():
@@ -110,6 +146,24 @@ def test_reflect_involution_and_multiset():
         back = reflect(g, mode)
         assert back.poly.coeffs == w.poly.coeffs
         assert back.values == w.values
+
+
+def test_reflect_raises_when_window_lost(monkeypatch):
+    w = check_window(QUAD, 8, 7)
+    monkeypatch.setattr(
+        compression, "check_window", lambda f, m, n: WindowRefutation(f, m, n, reason="range")
+    )
+    with pytest.raises(RuntimeError, match="lost the window"):
+        reflect(w, "domain")
+
+
+def test_reflect_raises_when_values_change(monkeypatch):
+    w = check_window(QUAD, 8, 7)
+    monkeypatch.setattr(
+        compression, "check_window", lambda f, m, n: CompressionWitness(f, m, n, w.values)
+    )
+    with pytest.raises(RuntimeError, match="changed the value vector"):
+        reflect(w, "range")
 
 
 def test_reflect_rejects_unknown_mode():

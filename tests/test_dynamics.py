@@ -85,6 +85,14 @@ def test_preper_denominator_bound_values():
         preper_denominator_bound(BinomialPoly((5, 3)))
 
 
+def test_preper_denominator_bound_high_degree():
+    # r_14 has denominator 14!; trial division up to 14! never finished
+    from dyncompress.families import compressing_poly_binomial
+
+    assert preper_denominator_bound(compressing_poly_binomial(14)) == 1
+    assert preper_denominator_bound(compressing_poly_binomial(40)) == 1
+
+
 def test_preper_search_window():
     assert preper_search(QUAD, 100) == list(range(1, 9))
     assert preper_search(BinomialPoly((1, 1, 2)), 5) == []  # x^2 + 1

@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dyncompress.polynomials as polynomials
 from dyncompress.polynomials import (
     BinomialPoly,
     RationalPoly,
@@ -23,6 +25,24 @@ def random_binomial_poly(rng, max_deg, coeff_bound=50):
     deg = rng.randint(0, max_deg)
     coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in range(deg + 1)]
     return BinomialPoly(tuple(coeffs))
+
+
+def shift_by_binomials(f, t):
+    """Reference x -> f(x + t) from C(x+t, i) = sum_j C(t, i-j) C(x, j)."""
+    n = len(f.coeffs)
+    out = [0] * n
+    for j in range(n):
+        for i in range(j, n):
+            out[j] += f.coeffs[i] * binomial(t, i - j)
+    return BinomialPoly(tuple(out))
+
+
+# degree 0..40, coefficients up to 2^64 in absolute value
+binomial_polys = st.lists(
+    st.integers(-(2**64), 2**64), min_size=1, max_size=41
+).map(lambda cs: BinomialPoly(tuple(cs)))
+small_ints = st.integers(-50, 50)
+kernel_settings = settings(max_examples=150, deadline=None)
 
 
 def test_binomial_integer_values():
@@ -95,6 +115,25 @@ def test_shift_argument():
         g = f.shift_argument(t)
         for x in range(-5, 6):
             assert g(x) == f(x + t)
+
+
+@kernel_settings
+@given(binomial_polys, small_ints)
+def test_shift_argument_matches_binomial_formula(f, t):
+    assert f.shift_argument(t) == shift_by_binomials(f, t)
+
+
+@kernel_settings
+@given(binomial_polys, small_ints, st.integers(-1, 60))
+def test_values_match_pointwise(f, lo, length):
+    assert f.values(lo, lo + length - 1) == [f(x) for x in range(lo, lo + length)]
+
+
+@kernel_settings
+@given(binomial_polys, small_ints, st.integers(0, 5))
+def test_interpolate_round_trip_any_start(f, start, extra):
+    vals = f.values(start, start + max(f.degree, 0) + extra)
+    assert interpolate(vals, start) == f
 
 
 def test_to_monomial_agrees_at_rational_points():
@@ -170,6 +209,13 @@ def test_squarefree_part():
     # roots preserved, multiplicity dropped
     assert sq(1) == 0 and sq(-2) == 0
     assert sq.degree == 2
+
+
+def test_squarefree_part_raises_when_gcd_does_not_divide(monkeypatch):
+    x = RationalPoly.x()
+    monkeypatch.setattr(polynomials, "poly_gcd", lambda f, g: x - 5)
+    with pytest.raises(RuntimeError, match="does not divide"):
+        squarefree_part((x - 1) * (x - 1) * (x + 2))
 
 
 def test_poly_divmod():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import dyncompress.sweep as sweep_mod
+from dyncompress.lattice import LatticeInvariantError
 from dyncompress.sweep import (
     SweepRecord,
     default_k_schedule,
@@ -57,12 +58,21 @@ def test_search_degree_can_exhaust_schedule():
 
 def test_search_degree_error_records(monkeypatch):
     def boom(reduced):
-        raise RuntimeError("synthetic failure")
+        raise ValueError("synthetic failure")
 
     monkeypatch.setattr(sweep_mod, "harvest", boom)
     records = search_degree(2, [3, 2])
     assert len(records) == 2
     assert all(r.error == "synthetic failure" and not r.found for r in records)
+
+
+def test_search_degree_propagates_invariant_errors(monkeypatch):
+    def broken(reduced):
+        raise LatticeInvariantError("synthetic invariant break")
+
+    monkeypatch.setattr(sweep_mod, "harvest", broken)
+    with pytest.raises(LatticeInvariantError):
+        search_degree(2, [3, 2])
 
 
 def test_record_json_round_trip():
