@@ -7,134 +7,3 @@ ring, an explicit compressing family, a lattice-reduction search for record
 windows, geometry-of-numbers volume diagnostics, preperiodic-point counting,
 and bundled record tables with a verification harness.
 """
-from .compression import (
-    CompressionWitness,
-    WindowRefutation,
-    best_window,
-    check_window,
-    poly_from_vector,
-    reflect,
-)
-from .dynamics import (
-    CommonBound,
-    DepthSearchReport,
-    OrbitRecord,
-    OrbitUndecided,
-    PreimageCount,
-    RootFindingError,
-    common_preper_bound,
-    common_preper_depth_search,
-    escape_radius,
-    orbit,
-    preimage_count_exact,
-    preper_denominator_bound,
-    preper_search,
-    preper_search_rational,
-)
-from .families import (
-    central_factorial_poly,
-    compressing_poly,
-    compressing_poly_binomial,
-    compressing_values,
-    periodic_sign,
-    sign_poly,
-)
-from .geometry import (
-    Ellipsoid,
-    InterpolationMatrix,
-    MatrixNorms,
-    MinkowskiReport,
-    build_ellipsoid,
-    build_interpolation_matrix,
-    default_extension,
-    ellipsoid_log_volume,
-    find_holding_threshold,
-    matrix_norms,
-    minkowski_check,
-    singular_values,
-)
-from .lattice import (
-    LatticeBasis,
-    ReducedBasis,
-    build_lattice,
-    harvest,
-    lattice_coordinates,
-    lll_reduce,
-)
-from .polynomials import (
-    BinomialPoly,
-    RationalPoly,
-    binomial,
-    centered_difference,
-    interpolate,
-    poly_from_json,
-    poly_gcd,
-    poly_to_json,
-    squarefree_part,
-    to_binomial,
-)
-from .sweep import SweepRecord, default_k_schedule, run_sweep, sweep_to_file
-from .tables import TableReport, verify_tables
-
-__all__ = [
-    "BinomialPoly",
-    "CommonBound",
-    "CompressionWitness",
-    "DepthSearchReport",
-    "Ellipsoid",
-    "InterpolationMatrix",
-    "LatticeBasis",
-    "MatrixNorms",
-    "MinkowskiReport",
-    "OrbitRecord",
-    "OrbitUndecided",
-    "PreimageCount",
-    "RationalPoly",
-    "ReducedBasis",
-    "RootFindingError",
-    "SweepRecord",
-    "TableReport",
-    "WindowRefutation",
-    "best_window",
-    "binomial",
-    "build_ellipsoid",
-    "build_interpolation_matrix",
-    "build_lattice",
-    "centered_difference",
-    "central_factorial_poly",
-    "check_window",
-    "common_preper_bound",
-    "common_preper_depth_search",
-    "compressing_poly",
-    "compressing_poly_binomial",
-    "compressing_values",
-    "default_extension",
-    "default_k_schedule",
-    "ellipsoid_log_volume",
-    "escape_radius",
-    "find_holding_threshold",
-    "harvest",
-    "interpolate",
-    "lattice_coordinates",
-    "lll_reduce",
-    "matrix_norms",
-    "minkowski_check",
-    "orbit",
-    "periodic_sign",
-    "poly_from_json",
-    "poly_from_vector",
-    "poly_gcd",
-    "poly_to_json",
-    "preimage_count_exact",
-    "preper_denominator_bound",
-    "preper_search",
-    "preper_search_rational",
-    "reflect",
-    "run_sweep",
-    "sign_poly",
-    "singular_values",
-    "squarefree_part",
-    "sweep_to_file",
-    "to_binomial",
-    "verify_tables",
-]

@@ -160,5 +160,4 @@ def poly_from_vector(v: Sequence[int], ell: int) -> BinomialPoly:
         raise ValueError("vector must be nonempty")
     d = len(vec) - 1
     g = interpolate(vec, 0)
-    assert isinstance(g, BinomialPoly)
     return g.shift_argument(-1) + ((d + ell - 1) // 2 + 1)

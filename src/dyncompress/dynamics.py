@@ -199,21 +199,10 @@ def orbit(f: BinomialPoly, x0: Rat, max_steps: int = 1000) -> OrbitRecord:
 def preper_search(f: BinomialPoly, bound: int) -> list[int]:
     """All integers in [-bound, bound] with finite forward orbit.
 
-    Integer candidates only (the windows of interest are integer intervals);
-    see preper_search_rational for bounded-denominator rationals.  Raises
-    OrbitUndecided if any orbit outlives the step cap 4*bound + 100.
+    The integer case of preper_search_rational (max_denominator 1), with the
+    same step cap 4*bound + 100 and the same OrbitUndecided past it.
     """
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    cap = 4 * bound + 100
-    out = []
-    for z in range(-bound, bound + 1):
-        rec = orbit(f, z, max_steps=cap)
-        if rec.status == "undecided":
-            raise OrbitUndecided(f"orbit of {z} undecided after {cap} steps")
-        if rec.status == "periodic":
-            out.append(z)
-    return out
+    return [int(z) for z in preper_search_rational(f, bound, 1)]
 
 
 def preper_search_rational(
@@ -360,12 +349,6 @@ def common_preper_depth_search(
         f_coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(fm.coeffs)]
         g_coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(gm.coeffs)]
         g_rad = mp.mpf(g_radius.numerator) / g_radius.denominator
-
-        def f_eval(z):
-            acc = mp.mpc(0)
-            for c in f_coeffs:
-                acc = acc * z + c
-            return acc
 
         def g_eval(z):
             acc = mp.mpc(0)

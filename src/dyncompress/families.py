@@ -134,6 +134,4 @@ def compressing_poly(d: int) -> RationalPoly:
 def compressing_poly_binomial(d: int) -> BinomialPoly:
     """compressing_poly(d) in the binomial basis, via values at 1..d+1."""
     vals = compressing_values(d, 1, min(d + 1, d + 6))
-    result = interpolate(vals, 1)
-    assert isinstance(result, BinomialPoly)
-    return result
+    return interpolate(vals, 1)

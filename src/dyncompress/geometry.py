@@ -168,8 +168,8 @@ def _transpose(rows):
 def matrix_norms(rows: Sequence[Sequence[int]]) -> MatrixNorms:
     """Max, Frobenius, and spectral norms; exact integers under the roots.
 
-    The chain spectral <= frobenius <= sqrt(m*n)*max is asserted (with float
-    slack) on every call.
+    The chain spectral <= frobenius <= sqrt(m*n)*max is checked (with float
+    slack) on every call; a break raises RuntimeError.
     """
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
@@ -180,8 +180,10 @@ def matrix_norms(rows: Sequence[Sequence[int]]) -> MatrixNorms:
         frob = float(mp.sqrt(sq))
     spec = float(singular_values(rows, prec)[0]) if sq else 0.0
     m, n = len(rows), len(rows[0])
-    assert spec <= frob * (1 + 1e-12) + 1e-300
-    assert frob <= math.sqrt(m * n) * mx * (1 + 1e-12) + 1e-300
+    if spec > frob * (1 + 1e-12) + 1e-300:
+        raise RuntimeError(f"norm chain broken: spectral {spec} > Frobenius {frob}")
+    if frob > math.sqrt(m * n) * mx * (1 + 1e-12) + 1e-300:
+        raise RuntimeError(f"norm chain broken: Frobenius {frob} > sqrt({m}*{n}) * max {mx}")
     return MatrixNorms(max=mx, frobenius=frob, spectral=spec)
 
 
@@ -199,16 +201,14 @@ def build_ellipsoid(
     # the matrix has k-1 rows; rank caps the computed values at d+1
     sig = sig + [mp.mpf(0)] * (k - 1 - len(sig))
     with mp.workprec(prec):
+        # radius i is half_span / max(sigma_i, 1), so every radius past the
+        # k - 1 singular values, and any with sigma_i <= 1, is half_span
         half_span = mp.mpf(d + ell - 1) / 2
-        log_radii = []
-        for i in range(d + 1):
-            s = sig[i] if i < len(sig) else mp.mpf(0)
-            denom = s if s > 1 else mp.mpf(1)
-            log_radii.append(mp.log(half_span / denom))
+        log_half_span = mp.log(half_span)
+        log_radii = [mp.log(half_span / s) if s > 1 else log_half_span for s in sig[: d + 1]]
+        log_radii += [log_half_span] * (d + 1 - len(log_radii))
         half_dim = mp.mpf(d + 1) / 2
-        log_vol = half_dim * mp.log(mp.pi) - mp.loggamma(half_dim + 1)
-        for lr in log_radii:
-            log_vol += lr
+        log_vol = sum(log_radii, half_dim * mp.log(mp.pi) - mp.loggamma(half_dim + 1))
         return Ellipsoid(
             d=d,
             k=k,

@@ -8,18 +8,15 @@ classical LLL algorithm run entirely over integers: instead of rational
 Gram-Schmidt data it maintains the Gram determinants d_i and the scaled
 coefficients lambda[i][j] = d_j * mu[i][j], which stay integral throughout,
 so every size-reduction and swap decision is exact.  Only the reduced vectors
-are returned; certificates come from exact re-verification in harvest, and
-the coordinates of any vector in a basis are recovered exactly by
-lattice_coordinates.
+are returned; certificates come from exact re-verification in harvest.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .compression import CompressionWitness, check_window
-from .polynomials import BinomialPoly, binomial, interpolate
+from .polynomials import binomial, interpolate
 
 
 @dataclass(frozen=True)
@@ -203,7 +200,6 @@ def harvest(reduced: ReducedBasis) -> list[CompressionWitness]:
             continue
         seen.add(key)
         f = interpolate(vals[: d + 1], 1)
-        assert isinstance(f, BinomialPoly)
         if f.degree < 2:
             continue
         # lattice membership means the tail must be consistent with degree <= d
@@ -216,51 +212,3 @@ def harvest(reduced: ReducedBasis) -> list[CompressionWitness]:
     out.sort(key=lambda w: (w.n, w.poly.coeffs))
     return out
 
-
-def lattice_coordinates(basis: LatticeBasis, vector) -> Optional[list[int]]:
-    """Integer coordinates of vector in the given basis, or None if outside.
-
-    Exact rational elimination; used to certify lattice membership of
-    reduced vectors in tests and of harvested value vectors.
-    """
-    rows = [list(map(Fraction, v)) for v in basis.vectors]
-    target = list(map(Fraction, vector))
-    if rows and len(target) != len(rows[0]):
-        raise ValueError("dimension mismatch")
-    n = len(rows)
-    m = len(target)
-    # solve x * rows = target by elimination on the transposed system
-    # build augmented matrix of size m x (n+1): rows^T | target
-    aug = [[rows[j][i] for j in range(n)] + [target[i]] for i in range(m)]
-    pivot_row = 0
-    pivot_cols = []
-    for col in range(n):
-        sel = None
-        for r in range(pivot_row, m):
-            if aug[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[pivot_row], aug[sel] = aug[sel], aug[pivot_row]
-        pv = aug[pivot_row][col]
-        aug[pivot_row] = [x / pv for x in aug[pivot_row]]
-        for r in range(m):
-            if r != pivot_row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[pivot_row])]
-        pivot_cols.append(col)
-        pivot_row += 1
-        if pivot_row == m:
-            break
-    # consistency: rows without pivots must have zero RHS
-    for r in range(pivot_row, m):
-        if aug[r][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for idx, col in enumerate(pivot_cols):
-        sol[col] = aug[idx][n]
-    for s in sol:
-        if s.denominator != 1:
-            return None
-    return [int(s) for s in sol]

@@ -283,12 +283,6 @@ class RationalPoly:
     def derivative(self) -> "RationalPoly":
         return RationalPoly(tuple(c * i for i, c in enumerate(self.coeffs))[1:])
 
-    def is_integer_valued(self) -> bool:
-        if not self.coeffs:
-            return True
-        vals = [self(i) for i in range(len(self.coeffs))]
-        return all(v.denominator == 1 for v in vals)
-
 
 def centered_difference(f: RationalPoly) -> RationalPoly:
     """The half-step difference f(x + 1/2) - f(x - 1/2); drops degree by one."""
@@ -296,39 +290,17 @@ def centered_difference(f: RationalPoly) -> RationalPoly:
     return f.compose_affine(1, half) - f.compose_affine(1, -half)
 
 
-def interpolate(values: Sequence[Rat], start: int = 0):
+def interpolate(values: Sequence[int], start: int = 0) -> BinomialPoly:
     """Unique polynomial of degree < len(values) through (start+i, values[i]).
 
-    Returns a BinomialPoly (re-based at 0) when start and all values are
-    integers, since consecutive integer samples of an integer-valued
-    polynomial have integer forward differences; otherwise a RationalPoly.
+    The forward differences of the integer samples are the coefficients in
+    the basis C(x - start, i); the result is re-based at 0.  A value that is
+    not an int carries into the coefficients, where BinomialPoly raises
+    TypeError.
     """
     if not values:
         raise ValueError("need at least one value")
-    vals = list(values)
-    ints = []
-    all_int = True
-    for v in vals:
-        if isinstance(v, int):
-            ints.append(v)
-        elif isinstance(v, Fraction) and v.denominator == 1:
-            ints.append(int(v))
-        else:
-            all_int = False
-            break
-    if all_int:
-        # forward differences give coefficients in the basis C(x - start, i)
-        return BinomialPoly(tuple(_forward_differences(ints))).shift_argument(-start)
-    # rational data: Newton form expanded in the monomial basis
-    deltas = _forward_differences([_as_fraction(v) for v in vals])
-    acc = RationalPoly.zero()
-    basis = RationalPoly.one()
-    for i, delta in enumerate(deltas):
-        if delta:
-            acc = acc + basis.scale(delta / math.factorial(i))
-        acc_shift = Fraction(-(start + i))
-        basis = basis.mul_linear(Fraction(1), acc_shift)
-    return acc
+    return BinomialPoly(tuple(_forward_differences(list(values)))).shift_argument(-start)
 
 
 def to_binomial(f: RationalPoly) -> BinomialPoly:

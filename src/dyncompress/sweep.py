@@ -13,6 +13,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -120,11 +121,6 @@ def search_degree(
     return records
 
 
-def _degree_task(args: tuple[int, tuple[int, ...], Fraction]) -> list[SweepRecord]:
-    d, schedule, delta = args
-    return search_degree(d, schedule, delta)
-
-
 def run_sweep(
     d_from: int,
     d_to: int,
@@ -143,14 +139,22 @@ def run_sweep(
     degrees = [d for d in range(d_from, d_to + 1) if d not in skip_degrees]
     if not degrees:
         return
-    tasks = [(d, default_k_schedule(d, k_max), delta) for d in degrees]
+    schedules = [default_k_schedule(d, k_max) for d in degrees]
     if jobs <= 1 or len(degrees) == 1:
-        for task in tasks:
-            yield from _degree_task(task)
+        for d, schedule in zip(degrees, schedules):
+            yield from search_degree(d, schedule, delta)
         return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for records in pool.map(_degree_task, tasks):
+        for records in pool.map(search_degree, degrees, schedules, repeat(delta)):
             yield from records
+
+
+def _cut_torn_line(path: Path) -> None:
+    """Truncate the file to its last newline, dropping a line a crash cut short."""
+    with path.open("rb+") as fh:
+        data = fh.read()
+        if data and not data.endswith(b"\n"):
+            fh.truncate(data.rfind(b"\n") + 1)
 
 
 def sweep_to_file(
@@ -161,20 +165,26 @@ def sweep_to_file(
     jobs: int = 1,
     delta: Fraction = Fraction(3, 4),
 ) -> list[SweepRecord]:
-    """Append sweep records to a JSONL file, skipping degrees already present."""
+    """Append sweep records to a JSONL file, skipping degrees already finished.
+
+    A degree is finished once the file holds its terminal record: a find, or
+    the attempt at k = 2 that ends every schedule.  A degree cut off by a
+    crash is searched again, and its new records follow the old ones.  Each
+    degree's records are written and flushed as one batch.
+    """
     path = Path(path)
     done: set[int] = set()
     if path.exists():
-        with path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    done.add(int(json.loads(line)["d"]))
+        _cut_torn_line(path)
+        done = {r.d for r in read_sweep_file(path) if r.found or r.k == 2}
     written = []
     with path.open("a") as fh:
-        for rec in run_sweep(d_from, d_to, k_max, jobs, delta, frozenset(done)):
-            fh.write(json.dumps(rec.to_json()) + "\n")
-            written.append(rec)
+        records = run_sweep(d_from, d_to, k_max, jobs, delta, frozenset(done))
+        for _, batch in groupby(records, key=lambda r: r.d):
+            batch = list(batch)
+            fh.write("".join(json.dumps(r.to_json()) + "\n" for r in batch))
+            fh.flush()
+            written.extend(batch)
     return written
 
 

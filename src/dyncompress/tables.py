@@ -104,9 +104,7 @@ def table1_poly(d: int, n: int | None = None) -> BinomialPoly:
 def table3_poly(d: int) -> BinomialPoly:
     """The T3 record polynomial for degree d, from its interpolation values."""
     vals = TABLE3[d]
-    poly = interpolate(list(vals), 1)
-    assert isinstance(poly, BinomialPoly)
-    return poly
+    return interpolate(vals, 1)
 
 
 def table2_source_poly(d: int) -> BinomialPoly:

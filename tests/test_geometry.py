@@ -5,6 +5,7 @@ import random
 import mpmath as mp
 import pytest
 
+import dyncompress.geometry as geometry
 from dyncompress.geometry import (
     build_ellipsoid,
     build_interpolation_matrix,
@@ -93,6 +94,12 @@ def test_matrix_norms_chain_random():
         m_, n_ = len(rows), width
         assert n.spectral <= n.frobenius * (1 + 1e-9)
         assert n.frobenius <= math.sqrt(m_ * n_) * n.max * (1 + 1e-9)
+
+
+def test_matrix_norms_raises_when_chain_breaks(monkeypatch):
+    monkeypatch.setattr(geometry, "singular_values", lambda rows, prec: [mp.mpf(100)])
+    with pytest.raises(RuntimeError, match="norm chain broken"):
+        matrix_norms(((1, -3, 3),))
 
 
 def test_singular_values_invariances():

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dyncompress import lattice
 from dyncompress.compression import WindowRefutation
@@ -13,7 +14,6 @@ from dyncompress.lattice import (
     ReducedBasis,
     build_lattice,
     harvest,
-    lattice_coordinates,
     lll_reduce,
 )
 
@@ -72,9 +72,68 @@ def _det(matrix):
     return det
 
 
+def _assert_lll_reduced(vectors, delta):
+    """Size-reduced (|mu| <= 1/2) and Lovasz at delta, by rational Gram-Schmidt."""
+    star, mu = _gram_schmidt(vectors)
+    norms = [sum(x * x for x in s) for s in star]
+    for i in range(1, len(mu)):
+        for coef in mu[i]:
+            assert abs(coef) <= Fraction(1, 2)
+        assert norms[i] >= (delta - mu[i][i - 1] ** 2) * norms[i - 1]
+
+
 def _combine(coeffs, vectors):
     """The integer combination sum(coeffs[j] * vectors[j])."""
     return tuple(sum(c * x for c, x in zip(coeffs, col)) for col in zip(*vectors))
+
+
+def lattice_coordinates(basis: LatticeBasis, vector) -> list[int] | None:
+    """Integer coordinates of vector in the given basis, or None if outside.
+
+    Exact rational elimination: the oracle that certifies what lll_reduce
+    returns spans the lattice it was given.
+    """
+    rows = [list(map(Fraction, v)) for v in basis.vectors]
+    target = list(map(Fraction, vector))
+    if rows and len(target) != len(rows[0]):
+        raise ValueError("dimension mismatch")
+    n = len(rows)
+    m = len(target)
+    # solve x * rows = target by elimination on the transposed system
+    # build augmented matrix of size m x (n+1): rows^T | target
+    aug = [[rows[j][i] for j in range(n)] + [target[i]] for i in range(m)]
+    pivot_row = 0
+    pivot_cols = []
+    for col in range(n):
+        sel = None
+        for r in range(pivot_row, m):
+            if aug[r][col] != 0:
+                sel = r
+                break
+        if sel is None:
+            continue
+        aug[pivot_row], aug[sel] = aug[sel], aug[pivot_row]
+        pv = aug[pivot_row][col]
+        aug[pivot_row] = [x / pv for x in aug[pivot_row]]
+        for r in range(m):
+            if r != pivot_row and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[pivot_row])]
+        pivot_cols.append(col)
+        pivot_row += 1
+        if pivot_row == m:
+            break
+    # consistency: rows without pivots must have zero RHS
+    for r in range(pivot_row, m):
+        if aug[r][n] != 0:
+            return None
+    sol = [Fraction(0)] * n
+    for idx, col in enumerate(pivot_cols):
+        sol[col] = aug[idx][n]
+    for s in sol:
+        if s.denominator != 1:
+            return None
+    return [int(s) for s in sol]
 
 
 def _coordinates(basis, vectors):
@@ -94,14 +153,26 @@ def _coordinates(basis, vectors):
     ],
 )
 def test_lll_output_is_lll_reduced(d, k, delta):
-    basis = build_lattice(d, k)
+    _assert_lll_reduced(lll_reduce(build_lattice(d, k), delta).vectors, delta)
+
+
+@st.composite
+def full_rank_bases(draw):
+    rank = draw(st.integers(1, 5))
+    width = draw(st.integers(rank, rank + 2))
+    entry = st.integers(-60, 60)
+    rows = draw(st.lists(st.tuples(*[entry] * width), min_size=rank, max_size=rank))
+    assume(_det([[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]) != 0)
+    return LatticeBasis(tuple(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_rank_bases(), st.integers(26, 99))
+def test_lll_reduces_random_bases(basis, percent):
+    delta = Fraction(percent, 100)
     red = lll_reduce(basis, delta)
-    star, mu = _gram_schmidt(red.vectors)
-    norms = [sum(x * x for x in s) for s in star]
-    for i in range(1, len(mu)):
-        for coef in mu[i]:
-            assert abs(coef) <= Fraction(1, 2)
-        assert norms[i] >= (delta - mu[i][i - 1] ** 2) * norms[i - 1]
+    _assert_lll_reduced(red.vectors, delta)
+    assert abs(_det(_coordinates(basis, red.vectors))) == 1
 
 
 @pytest.mark.parametrize("d,k", [(2, 6), (3, 8), (4, 4)])

@@ -1,4 +1,5 @@
 """Exact polynomial arithmetic: binomial basis, interpolation, gcd, wire format."""
+import json
 import random
 from fractions import Fraction
 
@@ -42,6 +43,11 @@ binomial_polys = st.lists(
     st.integers(-(2**64), 2**64), min_size=1, max_size=41
 ).map(lambda cs: BinomialPoly(tuple(cs)))
 small_ints = st.integers(-50, 50)
+big_ints = st.integers(-(2**200), 2**200)
+big_binomial_polys = st.lists(big_ints, max_size=12).map(lambda cs: BinomialPoly(tuple(cs)))
+big_rational_polys = st.lists(
+    st.builds(Fraction, big_ints, st.integers(1, 2**200)), max_size=12
+).map(lambda cs: RationalPoly(tuple(cs)))
 kernel_settings = settings(max_examples=150, deadline=None)
 
 
@@ -91,12 +97,13 @@ def test_interpolate_example():
     assert g.coeffs == (11, -4, 1)
 
 
-def test_interpolate_rational_values():
-    g = interpolate([Fraction(1, 2), Fraction(3, 2), Fraction(9, 2)], 0)
-    assert isinstance(g, RationalPoly)
-    assert g(0) == Fraction(1, 2)
-    assert g(1) == Fraction(3, 2)
-    assert g(2) == Fraction(9, 2)
+def test_interpolate_rejects_non_integer_values():
+    with pytest.raises(TypeError):
+        interpolate([Fraction(1, 2), Fraction(3, 2), Fraction(9, 2)], 0)
+    with pytest.raises(TypeError):
+        interpolate([1, 2, Fraction(4)], 0)
+    with pytest.raises(TypeError):
+        interpolate([1, 2.0, 4], 0)
 
 
 def test_integrality_on_window():
@@ -244,6 +251,19 @@ def test_json_wire_monomial():
     }
     back = poly_from_json(obj)
     assert back.coeffs == f.coeffs
+
+
+@kernel_settings
+@given(st.one_of(big_binomial_polys, big_rational_polys))
+def test_json_wire_round_trip(f):
+    assert poly_from_json(poly_to_json(f)) == f
+    assert poly_from_json(json.dumps(poly_to_json(f))) == f
+
+
+@kernel_settings
+@given(binomial_polys)
+def test_to_binomial_inverts_to_monomial(f):
+    assert to_binomial(f.to_monomial()) == f
 
 
 def test_json_wire_rejects_garbage():

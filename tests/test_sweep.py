@@ -123,3 +123,22 @@ def test_read_sweep_file_skips_blank_lines(tmp_path):
     rec = SweepRecord(2, 6, True, 8, 7, (11, -4, 1), 3)
     out.write_text(json.dumps(rec.to_json()) + "\n\n")
     assert read_sweep_file(out) == [rec]
+
+
+def test_sweep_to_file_redoes_unfinished_degree(tmp_path):
+    # a crash after a non-terminal attempt leaves the degree unfinished
+    out = tmp_path / "sweep.jsonl"
+    out.write_text(json.dumps({"d": 12, "k": 11, "found": False}) + "\n")
+    written = sweep_to_file(out, 12, 12)
+    assert written and {r.d for r in written} == {12}
+    assert written[-1].found or written[-1].k == 2
+    assert read_sweep_file(out)[1:] == written
+
+
+def test_sweep_to_file_drops_torn_last_line(tmp_path):
+    out = tmp_path / "sweep.jsonl"
+    done = SweepRecord(2, 6, True, 8, 7, (11, -4, 1), 3)
+    out.write_text(json.dumps(done.to_json()) + "\n" + '{"d": 3, "k": 9, "fo')
+    written = sweep_to_file(out, 2, 3)
+    assert {r.d for r in written} == {3}
+    assert read_sweep_file(out) == [done] + written
