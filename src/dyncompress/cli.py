@@ -23,9 +23,9 @@ from .dynamics import (
 )
 from .families import compressing_poly_binomial
 from .geometry import minkowski_check, precision_override
-from .lattice import build_lattice, harvest, lll_reduce
+from .lattice import CHAIN_DELTA
 from .polynomials import poly_from_json, poly_to_json
-from .sweep import default_k_schedule, sweep_to_file
+from .sweep import default_k_schedule, search_widths, sweep_to_file
 from .tables import verify_tables
 
 
@@ -49,7 +49,7 @@ def _load_poly(path: str):
 
 def _parse_delta(text: str | None) -> Fraction:
     if text is None:
-        return Fraction(3, 4)
+        return CHAIN_DELTA
     try:
         delta = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -102,9 +102,9 @@ def verify(poly_path: str, m: int, n: int):
 @main.command()
 @click.option("--degree", "-d", type=int, required=True)
 @click.option("--k", type=int, default=None, help="extension width; defaults to a descending schedule")
-@click.option("--delta", default=None, help="LLL parameter as a fraction P/Q in (1/4, 1)")
+@click.option("--delta", default=None, help="LLL parameter as a fraction P/Q in (1/4, 1); default 99/100")
 def search(degree: int, k: int | None, delta: str | None):
-    """Lattice-search degree-d witnesses; emits a JSON list."""
+    """Lattice-search degree-d witnesses at the first k that has any; emits a JSON list."""
     if degree < 2:
         raise click.UsageError(f"--degree must be at least 2, got {degree}")
     dlt = _parse_delta(delta)
@@ -112,10 +112,9 @@ def search(degree: int, k: int | None, delta: str | None):
         raise click.UsageError(f"--k must be at least 1, got {k}")
     schedule = default_k_schedule(degree) if k is None else (k,)
     witnesses = []
-    for width in schedule:
-        witnesses = harvest(lll_reduce(build_lattice(degree, width), dlt))
-        if witnesses:
-            break
+    for _, witnesses, error, _ in search_widths(degree, schedule, dlt):
+        if error is not None:
+            raise click.UsageError(error)
     _echo_json([w.to_json() for w in witnesses])
 
 

@@ -7,15 +7,24 @@ additive shift they become compression-window candidates.  Reduction is the
 classical LLL algorithm run entirely over integers: instead of rational
 Gram-Schmidt data it maintains the Gram determinants d_i and the scaled
 coefficients lambda[i][j] = d_j * mu[i][j], which stay integral throughout,
-so every size-reduction and swap decision is exact.  Only the reduced vectors
-are returned; certificates come from exact re-verification in harvest.
+so every size-reduction and swap decision is exact.
+
+The search reduces the lattices of every width in one ascending chain
+(lll_chain): the width-(k+1) lattice is the width-k lattice with one more
+value per vector, extrapolated from the vector's own last d+1 values, so
+each step re-reduces a basis that is already nearly reduced.  This is the
+gradual feeding of van Hoeij's knapsack factoring (J. Number Theory 2002)
+and of Novocin, Stehle and Villard (STOC 2011).  build_lattice gives the
+same lattices from their generators, as the reference.  Harvest walks each
+surviving candidate's values once and builds its witness from them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .compression import CompressionWitness, check_window
+from .compression import CompressionWitness
 from .polynomials import binomial, interpolate
 
 
@@ -48,8 +57,17 @@ class ReducedBasis:
     delta: Fraction
 
 
+# The chain's LLL parameter.  At delta = 3/4 the chain finds no window at
+# all at d = 90 for k = 6..9; at 99/100 it finds a strict window with
+# m = d + 8 at every d in 41..100.
+CHAIN_DELTA = Fraction(99, 100)
+
+
 def build_lattice(d: int, k: int) -> LatticeBasis:
-    """Generators u_i = (C(1, i), ..., C(d+k, i)) for 0 <= i <= d."""
+    """Generators u_i = (C(1, i), ..., C(d+k, i)) for 0 <= i <= d.
+
+    The reference lattice: lll_chain reaches the same lattices by extension.
+    """
     if d < 2:
         raise ValueError("d must be at least 2")
     if k < 1:
@@ -77,6 +95,13 @@ def _exact_quotient(num: int, den: int) -> int:
     return q
 
 
+def _check_delta(delta) -> Fraction:
+    delta = Fraction(delta)
+    if not Fraction(1, 4) < delta < 1:
+        raise ValueError("delta must lie in (1/4, 1)")
+    return delta
+
+
 def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> ReducedBasis:
     """Exact LLL reduction of an integer basis.
 
@@ -86,9 +111,7 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Reduced
     Output is size-reduced (|mu| <= 1/2) and satisfies the Lovász condition
     at the given delta; both are re-checkable by rational Gram-Schmidt.
     """
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta < 1:
-        raise ValueError("delta must lie in (1/4, 1)")
+    delta = _check_delta(delta)
     p, q = delta.numerator, delta.denominator
 
     b = [list(v) for v in basis.vectors]
@@ -153,6 +176,37 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Reduced
     return ReducedBasis(vectors=tuple(tuple(v) for v in b), delta=delta)
 
 
+def lll_chain(d: int, top: int, delta: Fraction = CHAIN_DELTA) -> tuple[ReducedBasis, ...]:
+    """Exactly reduced bases of the binomial value lattice for k = 1..top.
+
+    Entry k - 1 is an LLL-reduced basis, at delta, of the lattice that
+    build_lattice(d, k) generates.  At k = 1 that lattice is all of Z^(d+1),
+    since any d+1 integers are the values on [1, d+1] of an integer-valued
+    polynomial of degree <= d, so the chain starts from the identity basis.
+    Each step appends to every vector v, read as (f(1), ..., f(d+k)), the
+    next value f(d+k+1) from its last d+1 entries through Delta^(d+1) f = 0:
+    f(x+d+1) = sum_j (-1)^(d-j) C(d+1, j) f(x+j) over 0 <= j <= d.  Dropping
+    the last coordinate maps the width-(k+1) lattice one-to-one onto the
+    width-k lattice, so the extended vectors are a basis of it, and
+    lll_reduce re-reduces that basis.
+    """
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    if top < 1:
+        raise ValueError("k must be at least 1")
+    delta = _check_delta(delta)
+    weights = [(-1) ** (d - j) * comb(d + 1, j) for j in range(d + 1)]
+    identity = tuple(tuple(int(i == j) for j in range(d + 1)) for i in range(d + 1))
+    chain = [ReducedBasis(identity, delta)]
+    for _ in range(top - 1):
+        extended = LatticeBasis(tuple(
+            v + (sum(w * x for w, x in zip(weights, v[-(d + 1):])),)
+            for v in chain[-1].vectors
+        ))
+        chain.append(lll_reduce(extended, delta))
+    return tuple(chain)
+
+
 def harvest(reduced: ReducedBasis) -> list[CompressionWitness]:
     """Compression witnesses among short combinations of a reduced basis.
 
@@ -162,11 +216,17 @@ def harvest(reduced: ReducedBasis) -> list[CompressionWitness]:
     it is kept when the resulting maximum n stays within d+k and the
     interpolating polynomial has degree >= 2.  Candidates are deduplicated on
     the shifted value vector before anything is interpolated.  The polynomial
-    comes from the forward differences of the first d+1 values and is
-    cross-checked against the remaining k-1 values by one walk of its
-    difference table; each survivor is then re-verified by check_window.
-    Per distinct candidate this is O((d + k) * d) big-integer additions and
-    no multiplication or division.
+    comes from the forward differences of the first d+1 values, and one walk
+    of its difference table gives all d+k values; they must equal the
+    candidate, whose minimum is 1 and maximum n <= d+k, so the witness of
+    [d+k] -> [n] is built from them without a second walk.  Per distinct
+    candidate this is O((d + k) * d) big-integer additions and no
+    multiplication or division.
+
+    Raises LatticeInvariantError when a candidate's tail disagrees with its
+    first d+1 values: every candidate is an integer combination of the
+    basis, so that happens only when the basis does not span a binomial
+    value lattice, for example after a wrong chain extension.
     """
     vecs = [list(v) for v in reduced.vectors]
     d = len(vecs) - 1
@@ -200,15 +260,12 @@ def harvest(reduced: ReducedBasis) -> list[CompressionWitness]:
             continue
         seen.add(key)
         f = interpolate(vals[: d + 1], 1)
+        if f.values(1, width) != vals:
+            raise LatticeInvariantError(
+                f"candidate of width {width} is not the value vector of a degree-{d} polynomial"
+            )
         if f.degree < 2:
             continue
-        # lattice membership means the tail must be consistent with degree <= d
-        if f.values(1, width) != vals:
-            continue
-        verified = check_window(f, width, n)
-        if not isinstance(verified, CompressionWitness):
-            raise LatticeInvariantError(f"[{width}] -> [{n}] failed re-verification")
-        out.append(verified)
+        out.append(CompressionWitness(f, width, n, key))
     out.sort(key=lambda w: (w.n, w.poly.coeffs))
     return out
-

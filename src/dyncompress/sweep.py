@@ -1,10 +1,12 @@
 """Parallel degree sweep over the lattice search, with JSONL persistence.
 
-For each degree the sweep tries extension widths k from a descending schedule
-and stops at the first k whose reduced lattice yields a witness.  One record
-is emitted per attempted (d, k) pair; found-records carry the best witness
-(minimal n, then lexicographically smallest coefficients) and re-verify from
-their coefficients alone.
+For each degree the search reduces the lattices of every extension width
+up to the top of a descending schedule in one warm chain (lattice.lll_chain,
+at delta = 99/100), then harvests the schedule's widths from the top down and
+stops at the first k that yields a witness.  One record is emitted per
+attempted (d, k) pair; the top record's time includes the chain.
+Found-records carry the best witness (minimal n, then lexicographically
+smallest coefficients) and re-verify from their coefficients alone.
 """
 from __future__ import annotations
 
@@ -18,7 +20,8 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .compression import CompressionWitness, check_window
-from .lattice import build_lattice, harvest, lll_reduce
+# lll_reduce stays bound here: perfbench's tracer test reads sweep.lll_reduce.
+from .lattice import CHAIN_DELTA, harvest, lll_chain, lll_reduce  # noqa: F401
 from .polynomials import BinomialPoly
 
 
@@ -88,36 +91,53 @@ def verify_record(rec: SweepRecord) -> bool:
     return isinstance(res, CompressionWitness)
 
 
-def search_degree(
+def search_widths(
     d: int,
     schedule: Iterable[int],
-    delta: Fraction = Fraction(3, 4),
-) -> list[SweepRecord]:
-    """Try each k in order until a witness is found; one record per attempt.
+    delta: Fraction = CHAIN_DELTA,
+) -> Iterator[tuple[int, list[CompressionWitness], str | None, int]]:
+    """Harvest the warm chain at each k in schedule order, up to the first find.
 
-    A ValueError of one attempt (a rejected input) becomes that attempt's
-    error record; any other exception, such as LatticeInvariantError, is a
-    bug and propagates.
+    Yields (k, witnesses, error, elapsed_ms) per attempted width.  The chain
+    is built to max(schedule) inside the first attempt, whose elapsed_ms
+    therefore includes it.  A ValueError of one attempt (a rejected input)
+    is yielded as that attempt's error, with no witnesses; any other
+    exception, such as LatticeInvariantError, is a bug and propagates.
     """
-    records = []
+    schedule = tuple(schedule)
+    chain = None
     for k in schedule:
         t0 = time.perf_counter()
         try:
-            witnesses = harvest(lll_reduce(build_lattice(d, k), delta))
+            if k < 1:
+                raise ValueError(f"k must be at least 1, got {k}")
+            if chain is None:
+                chain = lll_chain(d, max(schedule), delta)
+            witnesses, error = harvest(chain[k - 1]), None
         except ValueError as exc:
-            elapsed = int(round((time.perf_counter() - t0) * 1000))
-            records.append(
-                SweepRecord(d, k, False, None, None, None, elapsed, error=str(exc))
-            )
-            continue
-        elapsed = int(round((time.perf_counter() - t0) * 1000))
+            witnesses, error = [], str(exc)
+        yield k, witnesses, error, int(round((time.perf_counter() - t0) * 1000))
+        if witnesses:
+            return
+
+
+def search_degree(
+    d: int,
+    schedule: Iterable[int],
+    delta: Fraction = CHAIN_DELTA,
+) -> list[SweepRecord]:
+    """One record per width that search_widths attempts; the last may be a find."""
+    records = []
+    for k, witnesses, error, elapsed in search_widths(d, schedule, delta):
         if witnesses:
             best = min(witnesses, key=lambda w: (w.n, w.poly.coeffs))
             records.append(
                 SweepRecord(d, k, True, best.m, best.n, best.poly.coeffs, elapsed)
             )
-            return records
-        records.append(SweepRecord(d, k, False, None, None, None, elapsed))
+        else:
+            records.append(
+                SweepRecord(d, k, False, None, None, None, elapsed, error=error)
+            )
     return records
 
 
@@ -126,7 +146,7 @@ def run_sweep(
     d_to: int,
     k_max: int | None = None,
     jobs: int = 1,
-    delta: Fraction = Fraction(3, 4),
+    delta: Fraction = CHAIN_DELTA,
     skip_degrees: frozenset[int] = frozenset(),
 ) -> Iterator[SweepRecord]:
     """Yield sweep records for d_from..d_to in deterministic (d, k) order.
@@ -163,14 +183,15 @@ def sweep_to_file(
     d_to: int,
     k_max: int | None = None,
     jobs: int = 1,
-    delta: Fraction = Fraction(3, 4),
+    delta: Fraction = CHAIN_DELTA,
 ) -> list[SweepRecord]:
     """Append sweep records to a JSONL file, skipping degrees already finished.
 
     A degree is finished once the file holds its terminal record: a find, or
     the attempt at k = 2 that ends every schedule.  A degree cut off by a
-    crash is searched again, and its new records follow the old ones.  Each
-    degree's records are written and flushed as one batch.
+    crash is searched again, and its new records follow the old ones, which
+    read_sweep_file then drops.  Each degree's records are written and
+    flushed as one batch.
     """
     path = Path(path)
     done: set[int] = set()
@@ -189,10 +210,27 @@ def sweep_to_file(
 
 
 def read_sweep_file(path: str | Path) -> list[SweepRecord]:
-    records = []
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(SweepRecord.from_json(json.loads(line)))
-    return records
+    """The records of a sweep file, keeping only the last run of each degree.
+
+    Text after the last newline is a line a crash cut short and is skipped.
+    A run is one degree's batch as sweep_to_file writes it: consecutive
+    lines of one degree whose k falls by one per line.  A degree searched
+    again after a crash has an earlier, partial run; only its last run is
+    returned.  The rerun starts a new run because it starts again at the
+    top of the schedule, unless a smaller k_max makes it start exactly one
+    below the partial run's last k.
+    """
+    text = Path(path).read_text()
+    runs: list[list[SweepRecord]] = []
+    for line in text[: text.rfind("\n") + 1].splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        rec = SweepRecord.from_json(json.loads(line))
+        prev = runs[-1][-1] if runs else None
+        if prev is not None and prev.d == rec.d and prev.k == rec.k + 1:
+            runs[-1].append(rec)
+        else:
+            runs.append([rec])
+    last = {run[0].d: i for i, run in enumerate(runs)}
+    return [rec for i, run in enumerate(runs) if last[run[0].d] == i for rec in run]

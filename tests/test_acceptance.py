@@ -9,7 +9,6 @@ import math
 import random
 import time
 from fractions import Fraction
-from pathlib import Path
 
 from dyncompress.compression import CompressionWitness, best_window, check_window
 from dyncompress.dynamics import (
@@ -37,8 +36,6 @@ from dyncompress.geometry import (
 from dyncompress.polynomials import BinomialPoly, RationalPoly, centered_difference
 from dyncompress.sweep import default_k_schedule, run_sweep, search_degree
 from dyncompress.tables import TABLE1, TABLE2, table1_poly, table2_source_poly
-
-ARTIFACTS = Path(__file__).resolve().parent.parent / "artifacts"
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -255,21 +252,23 @@ def test_acceptance_8d_volume_slope_trend():
                       f"dips at each jump of k) ({elapsed:.2f}s)")
 
 
-def test_acceptance_8e_holding_threshold():
+def test_acceptance_8e_holding_threshold(tmp_path):
     t0 = time.perf_counter()
     out = find_holding_threshold(ell=2)
-    ARTIFACTS.mkdir(exist_ok=True)
-    with open(ARTIFACTS / "dstar.json", "w") as fh:
+    path = tmp_path / "dstar.json"
+    with open(path, "w") as fh:
         json.dump(out, fh, indent=2)
         fh.write("\n")
+    persisted = json.loads(path.read_text()) == out
     elapsed = time.perf_counter() - t0
     ok = (
-        out["dstar"] >= 256
+        persisted
+        and out["dstar"] >= 256
         and all(s["holds"] for s in out["samples"])
         and elapsed < 600.0
     )
     _report("8e", ok, f"threshold degree {out['dstar']} holds through "
-                      f"{out['samples'][-1]['d']}; persisted to artifacts/dstar.json "
+                      f"{out['samples'][-1]['d']}; persisted and read back: {persisted} "
                       f"({elapsed:.2f}s)")
 
 

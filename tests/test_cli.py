@@ -4,6 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import dyncompress.sweep as sweep_mod
 from dyncompress.cli import main
 from dyncompress.polynomials import BinomialPoly, poly_to_json
 
@@ -86,6 +87,17 @@ def test_search_delta_validation(runner):
     assert runner.invoke(main, ["search", "-d", "2", "--delta", "zebra"]).exit_code == 2
     res = runner.invoke(main, ["search", "-d", "2", "--k", "6", "--delta", "9/10"])
     assert res.exit_code == 0
+
+
+def test_search_reports_attempt_errors(runner, monkeypatch):
+    # search and sweep share one loop; a rejected attempt is a usage error here
+    def reject(reduced):
+        raise ValueError("synthetic rejection")
+
+    monkeypatch.setattr(sweep_mod, "harvest", reject)
+    res = runner.invoke(main, ["search", "-d", "2", "--k", "6"])
+    assert res.exit_code == 2
+    assert "synthetic rejection" in res.output
 
 
 def test_sweep_and_resume(runner, tmp_path):

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from dyncompress.dynamics import (
-    OrbitUndecided,
     common_preper_bound,
     common_preper_depth_search,
     escape_radius,

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dyncompress import lattice
-from dyncompress.compression import WindowRefutation
+from dyncompress.compression import CompressionWitness, check_window
 from dyncompress.lattice import (
+    CHAIN_DELTA,
     LatticeBasis,
     LatticeInvariantError,
     ReducedBasis,
     build_lattice,
     harvest,
+    lll_chain,
     lll_reduce,
 )
 
@@ -278,13 +280,27 @@ def test_harvest_empty_for_spread_out_basis():
     assert harvest(ReducedBasis(vectors=vecs, delta=Fraction(3, 4))) == []
 
 
-def test_harvest_raises_when_reverification_fails(monkeypatch):
-    def refute(f, m, n):
-        return WindowRefutation(f, m, n, reason="range")
-
-    monkeypatch.setattr(lattice, "check_window", refute)
+def test_harvest_raises_on_corrupted_tail():
+    # (4, 1, -1, -2, -2, -1, 1, 4) is 8 - 4x + C(x, 2) on [1, 8]; with a
+    # last value of 5 the vector's tail disagrees with its first three values
+    vecs = [list(v) for v in lll_reduce(build_lattice(2, 6)).vectors]
+    assert vecs[2][-1] == 4
+    vecs[2][-1] = 5
+    corrupted = ReducedBasis(tuple(map(tuple, vecs)), Fraction(3, 4))
     with pytest.raises(LatticeInvariantError):
-        harvest(lll_reduce(build_lattice(2, 6)))
+        harvest(corrupted)
+
+
+@pytest.mark.parametrize("d,k", [(2, 6), (4, 6), (9, 10), (12, 8)])
+def test_harvest_witnesses_pass_check_window(d, k):
+    # harvest builds each witness from its own value walk, not by check_window
+    cold = harvest(lll_reduce(build_lattice(d, k), CHAIN_DELTA))
+    warm = harvest(lll_chain(d, k)[k - 1])
+    assert cold and warm
+    for w in cold + warm:
+        again = check_window(w.poly, w.m, w.n)
+        assert isinstance(again, CompressionWitness)
+        assert again == w and w.m == d + k
 
 
 def test_harvest_deterministic():
@@ -317,3 +333,35 @@ def test_lattice_coordinates_random_combos():
             for col in range(8)
         ]
         assert lattice_coordinates(basis, vec) == coeffs
+
+
+@pytest.mark.parametrize("d", [2, 5, 12])
+def test_lll_chain_spans_reference_lattice(d):
+    # equal Gram determinants and integral coordinates in the generators:
+    # the chain basis at k spans exactly the lattice build_lattice(d, k) spans
+    def gram_det(vectors):
+        return _det([[sum(x * y for x, y in zip(a, b)) for b in vectors] for a in vectors])
+
+    chain = lll_chain(d, 10)
+    assert len(chain) == 10
+    for k, reduced in enumerate(chain, start=1):
+        reference = build_lattice(d, k)
+        assert len(reduced.vectors) == d + 1
+        assert all(len(v) == d + k for v in reduced.vectors)
+        assert gram_det(reduced.vectors) == gram_det(reference.vectors)
+        _coordinates(reference, reduced.vectors)
+
+
+@pytest.mark.parametrize(
+    "d,delta", [(2, CHAIN_DELTA), (5, CHAIN_DELTA), (12, CHAIN_DELTA), (7, Fraction(3, 4))]
+)
+def test_lll_chain_bases_are_lll_reduced(d, delta):
+    for reduced in lll_chain(d, 10, delta):
+        assert reduced.delta == delta
+        _assert_lll_reduced(reduced.vectors, delta)
+
+
+def test_lll_chain_rejects():
+    for d, top, delta in ((1, 4, CHAIN_DELTA), (3, 0, CHAIN_DELTA), (3, 1, Fraction(1, 4))):
+        with pytest.raises(ValueError):
+            lll_chain(d, top, delta)

@@ -1,11 +1,16 @@
 """Degree sweep: schedules, record round-trips, resume, and parallel runs."""
 import json
-from fractions import Fraction
 
 import pytest
 
 import dyncompress.sweep as sweep_mod
-from dyncompress.lattice import LatticeInvariantError
+from dyncompress.lattice import (
+    CHAIN_DELTA,
+    LatticeInvariantError,
+    build_lattice,
+    harvest,
+    lll_reduce,
+)
 from dyncompress.sweep import (
     SweepRecord,
     default_k_schedule,
@@ -54,6 +59,24 @@ def test_search_degree_can_exhaust_schedule():
     assert len(records) == 1
     assert not records[0].found
     assert not verify_record(records[0])
+
+
+def _cold_search(d, schedule, delta):
+    """(k, m, strict) of the first find by per-k reduction from the generators."""
+    for k in schedule:
+        witnesses = harvest(lll_reduce(build_lattice(d, k), delta))
+        if witnesses:
+            best = min(witnesses, key=lambda w: (w.n, w.poly.coeffs))
+            return k, best.m, best.strict
+    return None
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_search_degree_matches_cold_reduction(d):
+    schedule = default_k_schedule(d)
+    last = search_degree(d, schedule)[-1]
+    got = (last.k, last.m, last.m > last.n) if last.found else None
+    assert got == _cold_search(d, schedule, CHAIN_DELTA)
 
 
 def test_search_degree_error_records(monkeypatch):
@@ -132,7 +155,22 @@ def test_sweep_to_file_redoes_unfinished_degree(tmp_path):
     written = sweep_to_file(out, 12, 12)
     assert written and {r.d for r in written} == {12}
     assert written[-1].found or written[-1].k == 2
-    assert read_sweep_file(out)[1:] == written
+    assert read_sweep_file(out) == written
+
+
+def test_read_sweep_file_keeps_last_run_and_skips_torn_line(tmp_path):
+    # d = 3 was cut off after k = 9, d = 2 finished, then d = 3 ran again
+    # and a later crash tore its next line
+    stale = SweepRecord(3, 9, False, None, None, None, 4)
+    done = SweepRecord(2, 6, True, 8, 7, (11, -4, 1), 3)
+    rerun = [
+        SweepRecord(3, 9, False, None, None, None, 5),
+        SweepRecord(3, 8, True, 11, 11, (2, 3, -3, 1), 2),
+    ]
+    lines = [json.dumps(r.to_json()) + "\n" for r in [stale, done] + rerun]
+    out = tmp_path / "sweep.jsonl"
+    out.write_text("".join(lines) + '{"d": 4, "k": 10, "fo')
+    assert read_sweep_file(out) == [done] + rerun
 
 
 def test_sweep_to_file_drops_torn_last_line(tmp_path):
