@@ -5,8 +5,13 @@ is preperiodic, and the full preimage f^(-1)([n]) lands in the intersection
 of the preperiodic sets of the shifted maps f, f+1, ..., f+(m-n).  Counting
 that preimage exactly (distinct roots per fiber, ramification found through
 gcd with the derivative) therefore gives certified lower bounds on common
-preperiodic points.  A complementary numerical depth search collects points
-with small forward orbits under two maps at once.
+preperiodic points.  Each fiber q is first settled modulo a large prime p
+that divides no denominator and neither leading coefficient: there
+deg gcd(f - q, f') over F_p >= deg gcd over Q (the lucky-prime lemma of
+modular gcds), so coprime images prove that the fiber has d distinct
+preimages.  Only the fibers the prime cannot clear take the exact rational
+gcd.  A complementary numerical depth search collects points with small
+forward orbits under two maps at once.
 
 Rational orbits are decided exactly: cycle detection by hashing exact values,
 escape certified either by a radius beyond which |f(x)| > |x| or by a
@@ -30,6 +35,7 @@ from .compression import CompressionWitness, check_window
 from .polynomials import (
     BinomialPoly,
     RationalPoly,
+    coprime_shifts_mod_p,
     poly_gcd,
     squarefree_part,
 )
@@ -59,12 +65,17 @@ class OrbitRecord:
 
 @dataclass(frozen=True)
 class PreimageCount:
-    """Distinct-root census of f^(-1)([n])."""
+    """Distinct-root census of f^(-1)([n]).
+
+    exact_fibers counts the fibers whose gcd(f - q, f') the exact rational
+    gcd decided; the modular certificate settled the other n - exact_fibers.
+    """
 
     n: int
     per_fiber: tuple[int, ...]
     ramification_deficit: int
     total: int
+    exact_fibers: int
 
 
 @dataclass(frozen=True)
@@ -243,6 +254,12 @@ def preimage_count_exact(f: BinomialPoly, n: int) -> PreimageCount:
     Per fiber the count is deg f - deg gcd(f - q, f'); the gcd degree is the
     number of lost (ramified) preimages, so totals obey
     d*n - d + 1 <= total <= d*n.
+
+    f and f' are reduced once modulo a fixed prime.  A fiber whose images
+    are coprime there has gcd 1 over Q too, so it counts d preimages with no
+    rational arithmetic (coprime_shifts_mod_p states the lemma).  Every other
+    fiber, ramified or not, takes the exact gcd over Q, so the result is a
+    certificate either way; exact_fibers says how many did.
     """
     if f.degree < 2:
         raise ValueError("preimage counting needs degree >= 2")
@@ -251,13 +268,23 @@ def preimage_count_exact(f: BinomialPoly, n: int) -> PreimageCount:
     fm = f.to_monomial()
     fprime = fm.derivative()
     d = fm.degree
+    fibers = range(1, n + 1)
     per = []
-    for q in range(1, n + 1):
+    exact = 0
+    for q, coprime in zip(fibers, coprime_shifts_mod_p(fm, fprime, fibers)):
+        if coprime:
+            per.append(d)
+            continue
+        exact += 1
         g = poly_gcd(fm - q, fprime)
-        per.append(d - g.degree if g.coeffs else d)
+        per.append(d - g.degree)
     deficit = sum(d - c for c in per)
     return PreimageCount(
-        n=n, per_fiber=tuple(per), ramification_deficit=deficit, total=sum(per)
+        n=n,
+        per_fiber=tuple(per),
+        ramification_deficit=deficit,
+        total=sum(per),
+        exact_fibers=exact,
     )
 
 

@@ -420,6 +420,81 @@ def poly_divmod(f: RationalPoly, g: RationalPoly) -> tuple[RationalPoly, Rationa
     return RationalPoly(tuple(quot)), RationalPoly(tuple(rem))
 
 
+# The prime of coprime_shifts_mod_p, read at call time.  Denominators of
+# integer-valued polynomials divide d! and every leading coefficient the
+# package meets is far below 2^61, so the prime almost never divides one.
+_PRIME = 2**61 - 1
+
+
+def _image_mod(f: RationalPoly, p: int) -> list[int] | None:
+    """Coefficients of f modulo p, highest degree first.
+
+    None when p divides a denominator (no image) or the leading coefficient
+    (the image drops degree).
+    """
+    out = []
+    for c in reversed(f.coeffs):
+        if c.denominator % p == 0:
+            return None
+        out.append(c.numerator * pow(c.denominator, -1, p) % p)
+    return out if out[0] else None
+
+
+def _coprime_mod(a: list[int], b: list[int], p: int) -> bool:
+    """gcd(a, b) = 1 in F_p[x], by Euclid; highest degree first, leads nonzero."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        inv = pow(b[0], -1, p)
+        tail = [c * inv % p for c in b[1:]]
+        r = list(a)
+        width = len(tail)
+        for i in range(len(a) - width):
+            c = r[i]
+            if c:
+                r[i + 1 : i + 1 + width] = [
+                    (x - c * y) % p for x, y in zip(r[i + 1 : i + 1 + width], tail)
+                ]
+        r = r[len(a) - width :]
+        while r and r[0] == 0:
+            r.pop(0)
+        if not r:
+            return False  # b divides a and has positive degree
+        a, b = b, r
+    return True  # b is a nonzero constant
+
+
+def coprime_shifts_mod_p(
+    f: RationalPoly, g: RationalPoly, shifts: Sequence[int]
+) -> list[bool]:
+    """For each integer c in shifts, whether gcd(f - c, g) = 1 is proved mod p.
+
+    f and g are reduced once modulo a fixed prime p.  When p divides no
+    denominator and neither leading coefficient, reduction is a ring map
+    that keeps both degrees.  A common factor h of f - c and g over Q, made
+    primitive in Z[x], divides D(f - c) and D g in Z[x] by Gauss's lemma (D
+    the common denominator, prime to p), so its leading coefficient divides
+    that of D(f - c) and h keeps its degree mod p: deg gcd
+    over F_p >= deg gcd over Q (the lucky-prime lemma of modular gcds; von
+    zur Gathen and Gerhard, Modern Computer Algebra, ch. 6).  A True entry is
+    therefore a proof of coprimality over Q.  A False entry proves nothing:
+    p divides a denominator or a leading coefficient, or the images share a
+    factor, possibly one that exists only mod p.  Decide those exactly.
+    """
+    if f.degree < 1 or not g.coeffs:
+        raise ValueError("need deg f >= 1 and g nonzero")
+    p = _PRIME
+    fa, gb = _image_mod(f, p), _image_mod(g, p)
+    if fa is None or gb is None:
+        return [False] * len(shifts)
+    out = []
+    for c in shifts:
+        shifted = list(fa)
+        shifted[-1] = (shifted[-1] - c) % p
+        out.append(_coprime_mod(shifted, gb, p))
+    return out
+
+
 # --- JSON wire format -------------------------------------------------------
 #
 # {"basis": "binomial", "coeffs": ["11", "-4", "1"]}

@@ -3,7 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import dyncompress.dynamics as dynamics
+import dyncompress.polynomials as polynomials
+from dyncompress.compression import best_window
 from dyncompress.dynamics import (
     common_preper_bound,
     common_preper_depth_search,
@@ -14,11 +18,45 @@ from dyncompress.dynamics import (
     preper_search,
     preper_search_rational,
 )
-from dyncompress.polynomials import BinomialPoly
-from dyncompress.tables import table1_poly
+from dyncompress.families import compressing_poly_binomial
+from dyncompress.polynomials import BinomialPoly, RationalPoly, poly_gcd, to_binomial
+from dyncompress.tables import table1_poly, table2_source_poly
 
 QUAD = BinomialPoly((11, -4, 1))  # (x^2 - 9x + 22) / 2
 SQUARE = BinomialPoly((0, 1, 2))  # x^2
+property_settings = settings(max_examples=100, deadline=None)
+
+
+def binomial_maps(min_deg, max_deg, bound):
+    """Integer-valued maps of degree min_deg..max_deg, binomial coefficients <= bound."""
+    return st.tuples(
+        st.lists(st.integers(-bound, bound), min_size=min_deg, max_size=max_deg),
+        st.integers(1, bound),
+        st.sampled_from((-1, 1)),
+    ).map(lambda t: BinomialPoly(tuple(t[0]) + (t[1] * t[2],)))
+
+
+def preimage_counts_by_gcd(f, n):
+    """Reference per-fiber counts d - deg gcd(f - q, f'), one exact gcd per fiber."""
+    fm = f.to_monomial()
+    fprime = fm.derivative()
+    return tuple(fm.degree - poly_gcd(fm - q, fprime).degree for q in range(1, n + 1))
+
+
+def iterate_exactly(f, x, steps):
+    """The orbit points x, f(x), ..., f^steps(x) by plain Fraction iteration."""
+    points = [Fraction(x)]
+    for _ in range(steps):
+        points.append(Fraction(f(points[-1])))
+    return points
+
+
+def valuation(k, p):
+    v = 0
+    while k % p == 0:
+        k //= p
+        v += 1
+    return v
 
 
 def test_escape_radius_values():
@@ -73,6 +111,47 @@ def test_orbit_denominator_divergence():
     assert rec.escaped_at == 0
     rec = orbit(SQUARE, Fraction(1, 3))
     assert rec.status == "escaped"
+
+
+@property_settings
+@given(
+    f=binomial_maps(2, 3, 6),
+    num=st.integers(-40, 40),
+    den=st.integers(1, 12),
+)
+@example(f=QUAD, num=2, den=1)
+@example(f=QUAD, num=3, den=2)
+@example(f=SQUARE, num=-1, den=1)
+@example(f=BinomialPoly((0, 2, 4)), num=-1, den=2)  # 2x^2: -1/2 -> 1/2, fixed
+def test_orbit_matches_plain_iteration(f, num, den):
+    # a periodic verdict is the first repeat of the plain orbit; an escape
+    # verdict is followed by a tail that provably never comes back
+    tail_steps = 4
+    rec = orbit(f, Fraction(num, den))
+    assert rec.status != "undecided"
+    if rec.status == "periodic":
+        points = iterate_exactly(f, rec.start, rec.preperiod + rec.period)
+        assert points[-1] == points[rec.preperiod]
+        assert len(set(points[:-1])) == len(points) - 1
+        return
+    points = iterate_exactly(f, rec.start, rec.escaped_at + tail_steps)
+    assert len(set(points)) == len(points)
+    tail = points[rec.escaped_at:]
+    assert tail[0] == rec.witness_value
+    if abs(tail[0]) > escape_radius(f.to_monomial()):
+        assert all(abs(b) > abs(a) for a, b in zip(tail, tail[1:]))
+        return
+    # denominator escape: every prime the bound cannot absorb gains depth
+    den_bound = preper_denominator_bound(f)
+    primes = [p for p in range(2, 50) if all(p % q for q in range(2, p))]
+    grown = [
+        p for p in primes
+        if valuation(tail[0].denominator, p) > valuation(den_bound, p)
+    ]
+    assert grown
+    for p in grown:
+        depths = [valuation(x.denominator, p) for x in tail]
+        assert all(b > a for a, b in zip(depths, depths[1:]))
 
 
 def test_preper_denominator_bound_values():
@@ -133,6 +212,7 @@ def test_preimage_count_ramified_fiber():
     assert pc.per_fiber == (1, 2)
     assert pc.total == 3
     assert pc.ramification_deficit == 1
+    assert pc.exact_fibers == 1  # only the ramified fiber needs the exact gcd
 
 
 def test_preimage_count_square():
@@ -156,6 +236,96 @@ def test_preimage_count_bounds_random():
         d = f.degree
         assert d * n - d + 1 <= pc.total <= d * n
         assert pc.total == d * n - pc.ramification_deficit
+
+
+@property_settings
+@given(f=binomial_maps(2, 8, 20), n=st.integers(1, 12))
+def test_preimage_count_matches_exact_gcd(f, n):
+    pc = preimage_count_exact(f, n)
+    assert pc.per_fiber == preimage_counts_by_gcd(f, n)
+    assert pc.total == sum(pc.per_fiber) == f.degree * n - pc.ramification_deficit
+    # a ramified fiber shares a factor with f' mod p too, so it is never cleared
+    assert pc.exact_fibers >= sum(c < f.degree for c in pc.per_fiber)
+
+
+def test_preimage_count_matches_exact_gcd_on_t2_sources():
+    for d in range(3, 16):
+        f = table2_source_poly(d)
+        n = best_window(f, 3 * d + 20).m - 1
+        assert preimage_count_exact(f, n).per_fiber == preimage_counts_by_gcd(f, n), d
+
+
+@property_settings
+@given(
+    a=st.integers(-5, 5),
+    k=st.sampled_from((2, 3)),
+    cofactor=st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(
+        lambda cs: cs[-1] != 0
+    ),
+    q0=st.integers(1, 12),
+    extra=st.integers(0, 6),
+)
+@example(a=1, k=2, cofactor=[1], q0=1, extra=1)
+@example(a=-3, k=3, cofactor=[1], q0=5, extra=2)
+def test_preimage_count_ramified_fibers_match_exact_gcd(a, k, cofactor, q0, extra):
+    # f = (x - a)^k * h(x) + q0 loses at least k - 1 preimages over q0
+    root = RationalPoly((Fraction(-a), Fraction(1)))
+    fm = RationalPoly(tuple(Fraction(c) for c in cofactor))
+    for _ in range(k):
+        fm = fm * root
+    f = to_binomial(fm + q0)
+    n = q0 + extra
+    pc = preimage_count_exact(f, n)
+    assert pc.per_fiber == preimage_counts_by_gcd(f, n)
+    assert pc.per_fiber[q0 - 1] <= f.degree - (k - 1)
+    assert pc.exact_fibers >= 1
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_preimage_count_falls_back_for_unlucky_prime(monkeypatch, prime):
+    # small primes divide denominators and leading coefficients or create
+    # common factors that exist only mod p; the exact gcd must decide those
+    monkeypatch.setattr(polynomials, "_PRIME", prime)
+    rng = random.Random(7000 + prime)
+    fallbacks = 0
+    for _ in range(40):
+        deg = rng.randint(2, 8)
+        coeffs = [rng.randint(-20, 20) for _ in range(deg)]
+        f = BinomialPoly(tuple(coeffs + [rng.randint(1, 20) * rng.choice((-1, 1))]))
+        n = rng.randint(1, 12)
+        pc = preimage_count_exact(f, n)
+        assert pc.per_fiber == preimage_counts_by_gcd(f, n)
+        fallbacks += pc.exact_fibers
+    assert fallbacks > 0
+
+
+def test_preimage_count_unlucky_prime_cases(monkeypatch):
+    # QUAD has denominator 2, so mod 2 it has no image and every fiber is
+    # decided exactly
+    monkeypatch.setattr(polynomials, "_PRIME", 2)
+    pc = preimage_count_exact(QUAD, 7)
+    assert pc.per_fiber == (2,) * 7
+    assert pc.exact_fibers == 7
+    # x^2 + x: mod 3, f' = 2x + 1 vanishes at x = 1 and f(1) = 2, so the
+    # fibers q = 2, 5 share a factor with f' only mod 3; over Q only -1/4
+    # is ramified
+    monkeypatch.setattr(polynomials, "_PRIME", 3)
+    pc = preimage_count_exact(BinomialPoly((0, 2, 2)), 6)
+    assert pc.per_fiber == (2,) * 6
+    assert pc.exact_fibers == 2
+
+
+def test_common_bound_reach_needs_no_exact_gcd(monkeypatch):
+    # every fiber of r_60 and r_80 is cleared mod p, so no exact gcd runs;
+    # with one exact gcd per fiber these two were the slow end of the family
+    def exact_gcd_taken(*args):
+        raise AssertionError("exact gcd fallback taken")
+
+    monkeypatch.setattr(dynamics, "poly_gcd", exact_gcd_taken)
+    for d in (60, 80):
+        n = d + 5 if d % 2 == 0 else d + 4
+        cb = common_preper_bound(compressing_poly_binomial(d), d + 6, n)
+        assert cb.count == d * n
 
 
 def test_common_preper_bound_goldens():

@@ -12,6 +12,7 @@ from dyncompress.polynomials import (
     RationalPoly,
     binomial,
     centered_difference,
+    coprime_shifts_mod_p,
     interpolate,
     poly_divmod,
     poly_from_json,
@@ -207,6 +208,45 @@ def test_poly_gcd_monic():
     got = poly_gcd(f, g)
     assert got.coeffs == (Fraction(-1), Fraction(1))
     assert poly_gcd(f, one).degree == 0
+
+
+def test_coprime_shifts_mod_p():
+    x = RationalPoly.x()
+    f = x * x  # f - c and f' = 2x share the root 0 only at c = 0
+    assert coprime_shifts_mod_p(f, f.derivative(), [0, 1, -3]) == [False, True, True]
+    g = (x - 1) * (x + 2)
+    assert coprime_shifts_mod_p(g, x - 1, [0, 1]) == [False, True]
+    with pytest.raises(ValueError):
+        coprime_shifts_mod_p(RationalPoly.one(), x, [1])
+    with pytest.raises(ValueError):
+        coprime_shifts_mod_p(x, RationalPoly.zero(), [1])
+
+
+def test_coprime_shifts_mod_p_without_an_image(monkeypatch):
+    # mod 2 the denominator of x/2 vanishes, and so does the lead of 2x + 1
+    x = RationalPoly.x()
+    monkeypatch.setattr(polynomials, "_PRIME", 2)
+    assert coprime_shifts_mod_p(x * x, x.scale(Fraction(1, 2)), [1, 2]) == [False, False]
+    assert coprime_shifts_mod_p(x * x, x.scale(2) + 1, [1]) == [False]
+    assert coprime_shifts_mod_p(x * x, x + 1, [1, 2]) == [False, True]
+
+
+small_rational_polys = st.lists(
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)), min_size=1, max_size=7
+).map(lambda cs: RationalPoly(tuple(cs)))
+
+
+@kernel_settings
+@given(f=small_rational_polys, g=small_rational_polys, shifts=st.lists(small_ints, max_size=6))
+def test_coprime_shifts_mod_p_is_a_proof(f, g, shifts):
+    # every True is confirmed by the exact gcd over Q
+    if f.degree < 1 or not g.coeffs:
+        with pytest.raises(ValueError):
+            coprime_shifts_mod_p(f, g, shifts)
+        return
+    for c, coprime in zip(shifts, coprime_shifts_mod_p(f, g, shifts)):
+        if coprime:
+            assert poly_gcd(f - c, g).degree == 0
 
 
 def test_squarefree_part():
