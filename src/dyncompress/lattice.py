@@ -15,14 +15,21 @@ value per vector, extrapolated from the vector's own last d+1 values, so
 each step re-reduces a basis that is already nearly reduced.  This is the
 gradual feeding of van Hoeij's knapsack factoring (J. Number Theory 2002)
 and of Novocin, Stehle and Villard (STOC 2011).  build_lattice gives the
-same lattices from their generators, as the reference.  Harvest walks each
-surviving candidate's values once and builds its witness from them.
+same lattices from their generators, as the reference.
+
+Harvest keeps a combination only when its spread, max - min, is at most
+width - 1, since only then does a shift put its values in [1, width].  The
+spread is a seminorm, so spread(a +- b) >= |spread(a) - spread(b)|, and a
+pair whose spreads differ by more than width - 1 is skipped without building
+anything.  Each survivor's values are walked once and its witness is built
+from them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from .compression import CompressionWitness
 from .polynomials import binomial, interpolate
@@ -122,35 +129,38 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Reduced
     lam = [[0] * n for _ in range(n)]
 
     def red(i, j):
-        # size-reduce b_i against b_j  (j < i)
-        if 2 * abs(lam[i][j]) <= dd[j + 1]:
-            return
-        r = _round_quotient(lam[i][j], dd[j + 1])
+        # size-reduce b_i against b_j (j < i); the caller has seen 2|lam[i][j]| > d_j
+        li, lj, dj = lam[i], lam[j], dd[j + 1]
+        r = _round_quotient(li[j], dj)
         b[i] = [x - r * y for x, y in zip(b[i], b[j])]
-        lam[i][j] -= r * dd[j + 1]
+        li[j] -= r * dj
         for t in range(j):
-            lam[i][t] -= r * lam[j][t]
+            li[t] -= r * lj[t]
 
     def swap(i, kmax):
         b[i], b[i - 1] = b[i - 1], b[i]
-        for t in range(i - 1):
-            lam[i][t], lam[i - 1][t] = lam[i - 1][t], lam[i][t]
-        lam_val = lam[i][i - 1]
-        new_d = _exact_quotient(dd[i - 1] * dd[i + 1] + lam_val * lam_val, dd[i])
+        li, lh = lam[i], lam[i - 1]
+        li[: i - 1], lh[: i - 1] = lh[: i - 1], li[: i - 1]
+        lam_val = li[i - 1]
+        d_lo, d_mid, d_hi = dd[i - 1], dd[i], dd[i + 1]
+        new_d = _exact_quotient(d_lo * d_hi + lam_val * lam_val, d_mid)
         for t in range(i + 1, kmax + 1):
-            old = lam[t][i]
-            lam[t][i] = _exact_quotient(dd[i + 1] * lam[t][i - 1] - lam_val * old, dd[i])
-            lam[t][i - 1] = _exact_quotient(new_d * old + lam_val * lam[t][i], dd[i + 1])
+            lt = lam[t]
+            old = lt[i]
+            lt[i] = _exact_quotient(d_hi * lt[i - 1] - lam_val * old, d_mid)
+            lt[i - 1] = _exact_quotient(new_d * old + lam_val * lt[i], d_hi)
         dd[i] = new_d
 
     def init_row(i):
         # fill lam[i][0..i-1] and dd[i+1] from exact inner products
+        bi, li = b[i], lam[i]
         for j in range(i + 1):
-            u = sum(x * y for x, y in zip(b[i], b[j]))
+            u = sum(map(mul, bi, b[j]))
+            lj = lam[j]
             for t in range(j):
-                u = _exact_quotient(dd[t + 1] * u - lam[i][t] * lam[j][t], dd[t])
+                u = _exact_quotient(dd[t + 1] * u - li[t] * lj[t], dd[t])
             if j < i:
-                lam[i][j] = u
+                li[j] = u
             else:
                 if u == 0:
                     raise ValueError("basis vectors are linearly dependent")
@@ -163,14 +173,16 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Reduced
         if i > kmax:
             kmax = i
             init_row(i)
-        red(i, i - 1)
-        lhs = q * (dd[i + 1] * dd[i - 1] + lam[i][i - 1] ** 2)
-        if lhs < p * dd[i] * dd[i]:
+        li = lam[i]
+        if 2 * abs(li[i - 1]) > dd[i]:
+            red(i, i - 1)
+        if q * (dd[i + 1] * dd[i - 1] + li[i - 1] ** 2) < p * dd[i] * dd[i]:
             swap(i, kmax)
             i = max(1, i - 1)
         else:
             for j in range(i - 2, -1, -1):
-                red(i, j)
+                if 2 * abs(li[j]) > dd[j + 1]:
+                    red(i, j)
             i += 1
 
     return ReducedBasis(vectors=tuple(tuple(v) for v in b), delta=delta)
@@ -214,58 +226,66 @@ def harvest(reduced: ReducedBasis) -> list[CompressionWitness]:
     and differences.  Each candidate of length d+k is read as the value
     vector (f(1), ..., f(d+k)), shifted by a constant so its minimum is 1;
     it is kept when the resulting maximum n stays within d+k and the
-    interpolating polynomial has degree >= 2.  Candidates are deduplicated on
-    the shifted value vector before anything is interpolated.  The polynomial
-    comes from the forward differences of the first d+1 values, and one walk
-    of its difference table gives all d+k values; they must equal the
-    candidate, whose minimum is 1 and maximum n <= d+k, so the witness of
-    [d+k] -> [n] is built from them without a second walk.  Per distinct
-    candidate this is O((d + k) * d) big-integer additions and no
-    multiplication or division.
+    interpolating polynomial has degree >= 2.
+
+    n stays within d+k exactly when the spread max - min is at most d+k-1.
+    Spread is a seminorm (spread(-v) = spread(v), and spread(a + b) <=
+    spread(a) + spread(b)), so spread(a +- b) >= |spread(a) - spread(b)|:
+    a pair whose spreads differ by more than d+k-1 costs one comparison.
+    Any other pair builds a + b and a - b, O(d + k) additions each, and a
+    negation is formed only for a combination whose spread passes.
+
+    Survivors are deduplicated on the shifted value vector before anything
+    is interpolated.  The polynomial comes from the forward differences of
+    the first d+1 values, and one walk of its difference table gives all
+    d+k values; they must equal the candidate, whose minimum is 1 and
+    maximum n <= d+k, so the witness of [d+k] -> [n] is built from them
+    without a second walk.  Per distinct survivor this is O((d + k) * d)
+    big-integer additions and no multiplication or division.
 
     Raises LatticeInvariantError when a candidate's tail disagrees with its
     first d+1 values: every candidate is an integer combination of the
     basis, so that happens only when the basis does not span a binomial
     value lattice, for example after a wrong chain extension.
     """
-    vecs = [list(v) for v in reduced.vectors]
+    vecs = reduced.vectors
     d = len(vecs) - 1
     width = len(vecs[0])
     k = width - d
     if k < 1:
         raise ValueError("reduced basis is not a binomial value lattice")
 
-    candidates = []
-    for v in vecs:
-        candidates.append(v)
-        candidates.append([-x for x in v])
-    for a in range(len(vecs)):
-        for bidx in range(a + 1, len(vecs)):
-            va, vb = vecs[a], vecs[bidx]
-            candidates.append([x + y for x, y in zip(va, vb)])
-            candidates.append([x - y for x, y in zip(va, vb)])
-            candidates.append([y - x for x, y in zip(va, vb)])
-            candidates.append([-x - y for x, y in zip(va, vb)])
+    limit = width - 1
+    spreads = [max(v) - min(v) for v in vecs]
+    short = [v for v, s in zip(vecs, spreads) if s <= limit]
+    for a, (va, sa) in enumerate(zip(vecs, spreads)):
+        for vb, sb in zip(vecs[a + 1:], spreads[a + 1:]):
+            if abs(sa - sb) > limit:
+                continue
+            for w in ([x + y for x, y in zip(va, vb)], [x - y for x, y in zip(va, vb)]):
+                if max(w) - min(w) <= limit:
+                    short.append(w)
 
     seen = set()
     out = []
-    for w in candidates:
+    for w in short:
         if not any(w):
             continue
-        shift = 1 - min(w)
-        vals = [x + shift for x in w]
-        n = max(vals)
-        key = tuple(vals)
-        if n > width or key in seen:
-            continue
-        seen.add(key)
-        f = interpolate(vals[: d + 1], 1)
-        if f.values(1, width) != vals:
-            raise LatticeInvariantError(
-                f"candidate of width {width} is not the value vector of a degree-{d} polynomial"
-            )
-        if f.degree < 2:
-            continue
-        out.append(CompressionWitness(f, width, n, key))
+        lo, hi = min(w), max(w)
+        n = hi - lo + 1
+        # w and -w, each shifted so that its minimum is 1
+        for key in (tuple(x + 1 - lo for x in w), tuple(hi + 1 - x for x in w)):
+            if key in seen:
+                continue
+            seen.add(key)
+            vals = list(key)
+            f = interpolate(vals[: d + 1], 1)
+            if f.values(1, width) != vals:
+                raise LatticeInvariantError(
+                    f"candidate of width {width} is not the value vector of a degree-{d} polynomial"
+                )
+            if f.degree < 2:
+                continue
+            out.append(CompressionWitness(f, width, n, key))
     out.sort(key=lambda w: (w.n, w.poly.coeffs))
     return out

@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from typing import Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -441,19 +441,26 @@ def _image_mod(f: RationalPoly, p: int) -> list[int] | None:
 
 
 def _coprime_mod(a: list[int], b: list[int], p: int) -> bool:
-    """gcd(a, b) = 1 in F_p[x], by Euclid; highest degree first, leads nonzero."""
+    """gcd(a, b) = 1 in F_p[x], by Euclid; highest degree first, leads nonzero.
+
+    Each remainder is a pseudo-remainder: every elimination step scales the
+    partial remainder by b's leading coefficient instead of dividing by it,
+    so no inverse is taken.  The scale is a unit of F_p, so the result is a
+    unit multiple of the ordinary remainder: same degree, zero exactly when
+    it is, and the same answer.
+    """
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
-        inv = pow(b[0], -1, p)
-        tail = [c * inv % p for c in b[1:]]
+        lead, tail = b[0], b[1:]
         r = list(a)
         width = len(tail)
         for i in range(len(a) - width):
             c = r[i]
             if c:
-                r[i + 1 : i + 1 + width] = [
-                    (x - c * y) % p for x, y in zip(r[i + 1 : i + 1 + width], tail)
+                r[i + 1 :] = [
+                    (lead * x - c * y) % p
+                    for x, y in zip_longest(r[i + 1 :], tail, fillvalue=0)
                 ]
         r = r[len(a) - width :]
         while r and r[0] == 0:

@@ -1,7 +1,9 @@
 """Binomial value lattice, exact integer LLL, and witness harvesting."""
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,6 +20,8 @@ from dyncompress.lattice import (
     lll_chain,
     lll_reduce,
 )
+from dyncompress.polynomials import interpolate
+from dyncompress.sweep import default_k_schedule
 
 
 def test_build_lattice_small():
@@ -159,8 +163,8 @@ def test_lll_output_is_lll_reduced(d, k, delta):
 
 
 @st.composite
-def full_rank_bases(draw):
-    rank = draw(st.integers(1, 5))
+def full_rank_bases(draw, max_rank=5):
+    rank = draw(st.integers(1, max_rank))
     width = draw(st.integers(rank, rank + 2))
     entry = st.integers(-60, 60)
     rows = draw(st.lists(st.tuples(*[entry] * width), min_size=rank, max_size=rank))
@@ -175,6 +179,109 @@ def test_lll_reduces_random_bases(basis, percent):
     red = lll_reduce(basis, delta)
     _assert_lll_reduced(red.vectors, delta)
     assert abs(_det(_coordinates(basis, red.vectors))) == 1
+
+
+def lll_reduce_reference(basis: LatticeBasis, delta: Fraction) -> tuple:
+    """Reference integer LLL, with every size reduction behind one call.
+
+    red itself tests whether the row needs reducing.  lll_reduce inlines
+    that test and binds row locals, but must take the same decisions in the
+    same order, so it returns the same vectors.
+    """
+    p, q = delta.numerator, delta.denominator
+    b = [list(v) for v in basis.vectors]
+    n = len(b)
+    dd = [0] * (n + 1)
+    dd[0] = 1
+    lam = [[0] * n for _ in range(n)]
+
+    def red(i, j):
+        if 2 * abs(lam[i][j]) <= dd[j + 1]:
+            return
+        r = lattice._round_quotient(lam[i][j], dd[j + 1])
+        b[i] = [x - r * y for x, y in zip(b[i], b[j])]
+        lam[i][j] -= r * dd[j + 1]
+        for t in range(j):
+            lam[i][t] -= r * lam[j][t]
+
+    def swap(i, kmax):
+        b[i], b[i - 1] = b[i - 1], b[i]
+        for t in range(i - 1):
+            lam[i][t], lam[i - 1][t] = lam[i - 1][t], lam[i][t]
+        lam_val = lam[i][i - 1]
+        new_d = lattice._exact_quotient(dd[i - 1] * dd[i + 1] + lam_val * lam_val, dd[i])
+        for t in range(i + 1, kmax + 1):
+            old = lam[t][i]
+            lam[t][i] = lattice._exact_quotient(dd[i + 1] * lam[t][i - 1] - lam_val * old, dd[i])
+            lam[t][i - 1] = lattice._exact_quotient(new_d * old + lam_val * lam[t][i], dd[i + 1])
+        dd[i] = new_d
+
+    def init_row(i):
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for t in range(j):
+                u = lattice._exact_quotient(dd[t + 1] * u - lam[i][t] * lam[j][t], dd[t])
+            if j < i:
+                lam[i][j] = u
+            else:
+                dd[i + 1] = u
+
+    init_row(0)
+    kmax = 0
+    i = 1
+    while i < n:
+        if i > kmax:
+            kmax = i
+            init_row(i)
+        red(i, i - 1)
+        lhs = q * (dd[i + 1] * dd[i - 1] + lam[i][i - 1] ** 2)
+        if lhs < p * dd[i] * dd[i]:
+            swap(i, kmax)
+            i = max(1, i - 1)
+        else:
+            for j in range(i - 2, -1, -1):
+                red(i, j)
+            i += 1
+    return tuple(tuple(v) for v in b)
+
+
+deltas = st.fractions(Fraction(1, 4), Fraction(1), max_denominator=1000).filter(
+    lambda x: Fraction(1, 4) < x < 1
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(full_rank_bases(max_rank=6), deltas)
+def test_lll_reduce_matches_reference_loop(basis, delta):
+    assert lll_reduce(basis, delta).vectors == lll_reduce_reference(basis, delta)
+
+
+def _extend(reduced: ReducedBasis, d: int) -> LatticeBasis:
+    """One lll_chain step before reduction: append f(d+k+1) to every vector."""
+    weights = [(-1) ** (d - j) * comb(d + 1, j) for j in range(d + 1)]
+    return LatticeBasis(tuple(
+        v + (sum(w * x for w, x in zip(weights, v[-(d + 1):])),) for v in reduced.vectors
+    ))
+
+
+@pytest.mark.parametrize("d", [2, 5, 12])
+def test_lll_chain_steps_match_reference_loop(d):
+    chain = lll_chain(d, 10)
+    for before, after in zip(chain, chain[1:]):
+        assert after.vectors == lll_reduce_reference(_extend(before, d), CHAIN_DELTA)
+
+
+@pytest.mark.parametrize("d,digest", [
+    (11, "151a7aa22f4654c6368f45d9d84a32517580c43616791709929b7f33ba231efe"),
+    (20, "f154fa5c7ffdb4b0f30ca45311deb310ba539e268df2297463aa2242bf4041ca"),
+    (32, "2a6ca9894fd25d8f9bb432e788c9ecb4e6a3712af7fb5e477ba51ced9a70485f"),
+])
+def test_lll_chain_golden_digest(d, digest):
+    # sha256 of the vectors of every chain step up to the top of d's schedule;
+    # one changed size-reduction or swap decision anywhere changes it
+    chain = lll_chain(d, default_k_schedule(d)[0])
+    text = repr(tuple(r.vectors for r in chain))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("d,k", [(2, 6), (3, 8), (4, 4)])
@@ -301,6 +408,85 @@ def test_harvest_witnesses_pass_check_window(d, k):
         again = check_window(w.poly, w.m, w.n)
         assert isinstance(again, CompressionWitness)
         assert again == w and w.m == d + k
+
+
+def harvest_reference(reduced: ReducedBasis) -> list[CompressionWitness]:
+    """Reference harvest: all four signed combinations of every pair, filtered once built."""
+    vecs = [list(v) for v in reduced.vectors]
+    d = len(vecs) - 1
+    width = len(vecs[0])
+    candidates = []
+    for v in vecs:
+        candidates.append(v)
+        candidates.append([-x for x in v])
+    for a in range(len(vecs)):
+        for bidx in range(a + 1, len(vecs)):
+            va, vb = vecs[a], vecs[bidx]
+            candidates.append([x + y for x, y in zip(va, vb)])
+            candidates.append([x - y for x, y in zip(va, vb)])
+            candidates.append([y - x for x, y in zip(va, vb)])
+            candidates.append([-x - y for x, y in zip(va, vb)])
+    seen = set()
+    out = []
+    for w in candidates:
+        if not any(w):
+            continue
+        shift = 1 - min(w)
+        vals = [x + shift for x in w]
+        n = max(vals)
+        key = tuple(vals)
+        if n > width or key in seen:
+            continue
+        seen.add(key)
+        f = interpolate(vals[: d + 1], 1)
+        if f.values(1, width) != vals:
+            raise LatticeInvariantError("tail mismatch")
+        if f.degree < 2:
+            continue
+        out.append(CompressionWitness(f, width, n, key))
+    out.sort(key=lambda w: (w.n, w.poly.coeffs))
+    return out
+
+
+@st.composite
+def mixed_binomial_bases(draw):
+    """A reduced binomial value basis, mixed by random unimodular row operations."""
+    d = draw(st.integers(2, 8))
+    k = draw(st.integers(1, 6))
+    vecs = [list(v) for v in lll_reduce(build_lattice(d, k), CHAIN_DELTA).vectors]
+    rows = st.integers(0, d)
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(rows), draw(rows)
+        c = draw(st.integers(-2, 2))
+        if i == j:
+            vecs[i] = [-x for x in vecs[i]]
+        else:
+            vecs[i] = [x + c * y for x, y in zip(vecs[i], vecs[j])]
+    draw(st.randoms(use_true_random=False)).shuffle(vecs)
+    return ReducedBasis(tuple(map(tuple, vecs)), CHAIN_DELTA)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_binomial_bases())
+def test_harvest_matches_reference_enumeration(reduced):
+    assert harvest(reduced) == harvest_reference(reduced)
+
+
+def spread(v):
+    return max(v) - min(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(*[st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n)] * 2)
+))
+def test_spread_gap_bounds_sums_and_differences(pair):
+    # spread is a seminorm, so spread(a +- b) >= |spread(a) - spread(b)|
+    a, b = pair
+    gap = abs(spread(a) - spread(b))
+    assert spread([-x for x in a]) == spread(a)
+    assert spread([x + y for x, y in zip(a, b)]) >= gap
+    assert spread([x - y for x, y in zip(a, b)]) >= gap
 
 
 def test_harvest_deterministic():

@@ -249,6 +249,46 @@ def test_coprime_shifts_mod_p_is_a_proof(f, g, shifts):
             assert poly_gcd(f - c, g).degree == 0
 
 
+def coprime_mod_monic(a, b, p):
+    """Euclid in F_p[x] with each divisor made monic: _coprime_mod's reference."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        inv = pow(b[0], -1, p)
+        tail = [c * inv % p for c in b[1:]]
+        r = list(a)
+        width = len(tail)
+        for i in range(len(a) - width):
+            c = r[i]
+            if c:
+                r[i + 1 : i + 1 + width] = [
+                    (x - c * y) % p for x, y in zip(r[i + 1 : i + 1 + width], tail)
+                ]
+        r = r[len(a) - width :]
+        while r and r[0] == 0:
+            r.pop(0)
+        if not r:
+            return False
+        a, b = b, r
+    return True
+
+
+@kernel_settings
+@given(
+    st.sampled_from([2, 3, 7, 2**61 - 1]).flatmap(lambda p: st.tuples(
+        st.just(p),
+        st.lists(st.integers(0, p - 1), min_size=1, max_size=9),
+        st.lists(st.integers(0, p - 1), min_size=1, max_size=9),
+    ))
+)
+def test_coprime_mod_matches_monic_euclid(case):
+    # small primes make common factors frequent, so both answers occur
+    p, a, b = case
+    a[0] = a[0] or 1
+    b[0] = b[0] or 1
+    assert polynomials._coprime_mod(a, b, p) == coprime_mod_monic(a, b, p)
+
+
 def test_squarefree_part():
     x = RationalPoly.x()
     f = (x - 1) * (x - 1) * (x + 2)

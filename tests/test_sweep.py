@@ -1,4 +1,5 @@
 """Degree sweep: schedules, record round-trips, resume, and parallel runs."""
+import hashlib
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from dyncompress.sweep import (
     read_sweep_file,
     run_sweep,
     search_degree,
+    search_widths,
     sweep_to_file,
     verify_record,
 )
@@ -77,6 +79,21 @@ def test_search_degree_matches_cold_reduction(d):
     last = search_degree(d, schedule)[-1]
     got = (last.k, last.m, last.m > last.n) if last.found else None
     assert got == _cold_search(d, schedule, CHAIN_DELTA)
+
+
+@pytest.mark.parametrize("d,digest", [
+    (11, "7b50e1d510b6de48150040d3f7589f2d79666973233b56df93a3baa8d41a3e82"),
+    (20, "6779702f49726846e0429ae0007c0fa316235cbf340523d10c8c25805f415d16"),
+    (32, "d211d834dff6131555aa8faaa1be13aa33012bfc11be2ac86228240f7998d2b1"),
+])
+def test_search_widths_golden_witnesses(d, digest):
+    # sha256 of the witness JSON of every width the search harvests for d
+    attempts = [
+        [k, [w.to_json() for w in witnesses]]
+        for k, witnesses, _, _ in search_widths(d, default_k_schedule(d))
+    ]
+    text = json.dumps(attempts, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_search_degree_error_records(monkeypatch):
