@@ -24,7 +24,7 @@ from .dynamics import (
 from .families import compressing_poly_binomial
 from .geometry import minkowski_check, precision_override
 from .lattice import CHAIN_DELTA
-from .polynomials import poly_from_json, poly_to_json
+from .polynomials import BinomialPoly, RationalPoly, poly_from_json, poly_to_json, to_binomial
 from .sweep import default_k_schedule, search_widths, sweep_to_file
 from .tables import verify_tables
 
@@ -44,6 +44,15 @@ def _load_poly(path: str):
     try:
         return poly_from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
+        raise click.UsageError(f"bad polynomial object: {exc}")
+
+
+def _load_integer_valued(path: str) -> BinomialPoly:
+    """_load_poly's polynomial in the binomial basis; exit 2 if not integer-valued."""
+    f = _load_poly(path)
+    try:
+        return to_binomial(f) if isinstance(f, RationalPoly) else f
+    except ValueError as exc:
         raise click.UsageError(f"bad polynomial object: {exc}")
 
 
@@ -90,7 +99,7 @@ def rd(degree: int):
 @click.option("--n", type=int, required=True)
 def verify(poly_path: str, m: int, n: int):
     """Check f([m]) within [n]; exit 0 with a witness, 1 with a refutation."""
-    f = _load_poly(poly_path)
+    f = _load_integer_valued(poly_path)
     if m < 1 or n < 1 or m < n:
         raise click.UsageError(f"need m >= n >= 1, got m={m} n={n}")
     result = check_window(f, m, n)
@@ -111,10 +120,7 @@ def search(degree: int, k: int | None, delta: str | None):
     if k is not None and k < 1:
         raise click.UsageError(f"--k must be at least 1, got {k}")
     schedule = default_k_schedule(degree) if k is None else (k,)
-    witnesses = []
-    for _, witnesses, error, _ in search_widths(degree, schedule, dlt):
-        if error is not None:
-            raise click.UsageError(error)
+    _, witnesses, _ = list(search_widths(degree, schedule, dlt))[-1]
     _echo_json([w.to_json() for w in witnesses])
 
 
@@ -129,6 +135,8 @@ def sweep(d_from: int, d_to: int, k_max: int | None, jobs: int, delta: str | Non
     """Sweep degrees, appending one JSONL record per (d, k) attempt."""
     if not 2 <= d_from <= d_to:
         raise click.UsageError(f"need 2 <= --from <= --to, got {d_from}..{d_to}")
+    if k_max is not None and k_max < 2:
+        raise click.UsageError(f"--k-max must be at least 2, got {k_max}")
     if jobs < 1:
         raise click.UsageError(f"--jobs must be at least 1, got {jobs}")
     written = sweep_to_file(out_path, d_from, d_to, k_max, jobs, _parse_delta(delta))
@@ -159,7 +167,7 @@ def volume(degree: int, ell: int, precision: int | None, k: int | None):
 @click.option("--n", type=int, required=True)
 def preimage_count(poly_path: str, n: int):
     """Exact count of preimages of [n] under f, with ramification deficit."""
-    f = _load_poly(poly_path)
+    f = _load_integer_valued(poly_path)
     if n < 1:
         raise click.UsageError(f"--n must be at least 1, got {n}")
     try:
@@ -182,7 +190,7 @@ def preimage_count(poly_path: str, n: int):
 @click.option("--n", type=int, required=True)
 def common(poly_path: str, m: int, n: int):
     """Lower bound on common preperiodic points of f and f+1 from a window."""
-    f = _load_poly(poly_path)
+    f = _load_integer_valued(poly_path)
     try:
         bound = common_preper_bound(f, m, n)
     except ValueError as exc:
@@ -200,7 +208,7 @@ def common(poly_path: str, m: int, n: int):
 def common_depth(poly_path: str, shift: int, max_pre: int, max_per: int,
                  precision: int | None, tol: float):
     """Numerically count common preperiodic points of f and f + shift."""
-    f = _load_poly(poly_path)
+    f = _load_integer_valued(poly_path)
     if max_pre < 0 or max_per < 1:
         raise click.UsageError(
             f"need --max-pre >= 0 and --max-per >= 1, got {max_pre}, {max_per}"

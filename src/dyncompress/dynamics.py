@@ -313,13 +313,17 @@ def _compose(outer: RationalPoly, inner: RationalPoly) -> RationalPoly:
     return acc
 
 
+# Largest iterate degree f.degree ** (max_pre + max_per) the depth search expands.
+DEPTH_DEGREE_CAP = 1 << 14
+
+
 def _poly_roots(coeffs_mpc, label: str):
     """mp.polyroots wrapper with escalating precision and a clear error."""
     last_exc = None
     for extra in (10, 60, 200):
         try:
             return mp.polyroots(coeffs_mpc, maxsteps=200, extraprec=extra)
-        except NoConvergence as exc:  # pragma: no cover
+        except NoConvergence as exc:
             last_exc = exc
     raise RootFindingError(
         f"root finding failed to converge for {label}; raise precision_bits"
@@ -333,7 +337,6 @@ def common_preper_depth_search(
     max_per: int,
     precision_bits: int = 128,
     tol: float = 1e-20,
-    degree_cap: int = 1 << 14,
 ) -> DepthSearchReport:
     """Census of solutions of f^(a+c)(x) = f^a(x) that g also keeps tame.
 
@@ -362,10 +365,10 @@ def common_preper_depth_search(
         raise ValueError("depth search needs degree >= 2 on both maps")
     if max_pre < 0 or max_per < 1:
         raise ValueError("need max_pre >= 0 and max_per >= 1")
-    if f.degree ** (max_pre + max_per) > degree_cap:
+    if f.degree ** (max_pre + max_per) > DEPTH_DEGREE_CAP:
         raise ValueError(
             f"iterate degree {f.degree ** (max_pre + max_per)} exceeds the "
-            f"cap {degree_cap}; lower max_pre/max_per or raise degree_cap"
+            f"cap {DEPTH_DEGREE_CAP}; lower max_pre/max_per"
         )
     fm = f.to_monomial()
     gm = g.to_monomial()

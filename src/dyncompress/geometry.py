@@ -285,14 +285,15 @@ def minkowski_check(
     )
 
 
-def find_holding_threshold(
-    ell: int = 2, hi_cap: int = 1 << 20, precision_bits: Optional[int] = None
-) -> dict:
+HOLDING_DEGREE_CAP = 1 << 20
+
+
+def find_holding_threshold(ell: int = 2, precision_bits: Optional[int] = None) -> dict:
     """Smallest degree (within the checked domain) where the check holds.
 
     Returns the threshold degree and a sample of checked degrees up to four
-    times the threshold, all of which must hold; raises if none holds below
-    hi_cap.
+    times the threshold, all of which must hold; raises if none holds up to
+    HOLDING_DEGREE_CAP.
     """
     lo = 16**ell  # smallest d in the checked domain
     if minkowski_check(lo, ell, precision_bits).holds:
@@ -301,8 +302,8 @@ def find_holding_threshold(
         prev, cur = lo, lo * 2
         while not minkowski_check(cur, ell, precision_bits).holds:
             prev, cur = cur, cur * 2
-            if cur > hi_cap:
-                raise ValueError(f"no holding degree found up to {hi_cap}")
+            if cur > HOLDING_DEGREE_CAP:
+                raise ValueError(f"no holding degree found up to {HOLDING_DEGREE_CAP}")
         # bisect (prev, cur]: prev fails, cur holds
         while cur - prev > 1:
             mid = (prev + cur) // 2

@@ -56,14 +56,6 @@ class LatticeInvariantError(RuntimeError):
     """An exact LLL or harvest invariant broke: a bug, never a search outcome."""
 
 
-@dataclass(frozen=True)
-class ReducedBasis:
-    """LLL output: reduced vectors spanning the input lattice, and the delta used."""
-
-    vectors: tuple[tuple[int, ...], ...]
-    delta: Fraction
-
-
 # The chain's LLL parameter.  At delta = 3/4 the chain finds no window at
 # all at d = 90 for k = 6..9; at 99/100 it finds a strict window with
 # m = d + 8 at every d in 41..100.
@@ -109,7 +101,7 @@ def _check_delta(delta) -> Fraction:
     return delta
 
 
-def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> ReducedBasis:
+def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> LatticeBasis:
     """Exact LLL reduction of an integer basis.
 
     Runs the integer-scaled variant: all state (Gram determinants, scaled
@@ -185,10 +177,10 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Reduced
                     red(i, j)
             i += 1
 
-    return ReducedBasis(vectors=tuple(tuple(v) for v in b), delta=delta)
+    return LatticeBasis(tuple(map(tuple, b)))
 
 
-def lll_chain(d: int, top: int, delta: Fraction = CHAIN_DELTA) -> tuple[ReducedBasis, ...]:
+def lll_chain(d: int, top: int, delta: Fraction = CHAIN_DELTA) -> tuple[LatticeBasis, ...]:
     """Exactly reduced bases of the binomial value lattice for k = 1..top.
 
     Entry k - 1 is an LLL-reduced basis, at delta, of the lattice that
@@ -209,7 +201,7 @@ def lll_chain(d: int, top: int, delta: Fraction = CHAIN_DELTA) -> tuple[ReducedB
     delta = _check_delta(delta)
     weights = [(-1) ** (d - j) * comb(d + 1, j) for j in range(d + 1)]
     identity = tuple(tuple(int(i == j) for j in range(d + 1)) for i in range(d + 1))
-    chain = [ReducedBasis(identity, delta)]
+    chain = [LatticeBasis(identity)]
     for _ in range(top - 1):
         extended = LatticeBasis(tuple(
             v + (sum(w * x for w, x in zip(weights, v[-(d + 1):])),)
@@ -219,7 +211,7 @@ def lll_chain(d: int, top: int, delta: Fraction = CHAIN_DELTA) -> tuple[ReducedB
     return tuple(chain)
 
 
-def harvest(reduced: ReducedBasis) -> list[CompressionWitness]:
+def harvest(reduced: LatticeBasis) -> list[CompressionWitness]:
     """Compression witnesses among short combinations of a reduced basis.
 
     Candidates are the basis vectors, their negations, and all pairwise sums

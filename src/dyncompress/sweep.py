@@ -7,6 +7,8 @@ stops at the first k that yields a witness.  One record is emitted per
 attempted (d, k) pair; the top record's time includes the chain.
 Found-records carry the best witness (minimal n, then lexicographically
 smallest coefficients) and re-verify from their coefficients alone.
+Bad arguments raise ValueError before any lattice is reduced or any file is
+written; every later exception propagates, so a record is a search outcome.
 """
 from __future__ import annotations
 
@@ -34,10 +36,9 @@ class SweepRecord:
     n: int | None
     coeffs: tuple[int, ...] | None
     elapsed_ms: int
-    error: str | None = None
 
     def to_json(self) -> dict:
-        rec = {
+        return {
             "d": self.d,
             "k": self.k,
             "found": self.found,
@@ -46,9 +47,6 @@ class SweepRecord:
             "coeffs": None if self.coeffs is None else [str(c) for c in self.coeffs],
             "elapsed_ms": self.elapsed_ms,
         }
-        if self.error is not None:
-            rec["error"] = self.error
-        return rec
 
     @staticmethod
     def from_json(rec: dict) -> "SweepRecord":
@@ -61,7 +59,6 @@ class SweepRecord:
             n=None if rec.get("n") is None else int(rec["n"]),
             coeffs=None if coeffs is None else tuple(int(c) for c in coeffs),
             elapsed_ms=int(rec.get("elapsed_ms", 0)),
-            error=rec.get("error"),
         )
 
 
@@ -95,30 +92,27 @@ def search_widths(
     d: int,
     schedule: Iterable[int],
     delta: Fraction = CHAIN_DELTA,
-) -> Iterator[tuple[int, list[CompressionWitness], str | None, int]]:
+) -> Iterator[tuple[int, list[CompressionWitness], int]]:
     """Harvest the warm chain at each k in schedule order, up to the first find.
 
-    Yields (k, witnesses, error, elapsed_ms) per attempted width.  The chain
-    is built to max(schedule) inside the first attempt, whose elapsed_ms
-    therefore includes it.  A ValueError of one attempt (a rejected input)
-    is yielded as that attempt's error, with no witnesses; any other
-    exception, such as LatticeInvariantError, is a bug and propagates.
+    Yields (k, witnesses, elapsed_ms) per attempted width, witnesses in
+    harvest's order.  Before any work it raises ValueError for an empty
+    schedule, a width below 1, d < 2 or delta outside (1/4, 1); after that
+    every exception, such as LatticeInvariantError, propagates.  The chain
+    is built to max(schedule) before the first attempt, whose elapsed_ms
+    therefore includes it.
     """
     schedule = tuple(schedule)
-    chain = None
+    if not schedule or min(schedule) < 1:
+        raise ValueError(f"schedule needs one or more widths k >= 1, got {schedule}")
+    t0 = time.perf_counter()
+    chain = lll_chain(d, max(schedule), delta)
     for k in schedule:
-        t0 = time.perf_counter()
-        try:
-            if k < 1:
-                raise ValueError(f"k must be at least 1, got {k}")
-            if chain is None:
-                chain = lll_chain(d, max(schedule), delta)
-            witnesses, error = harvest(chain[k - 1]), None
-        except ValueError as exc:
-            witnesses, error = [], str(exc)
-        yield k, witnesses, error, int(round((time.perf_counter() - t0) * 1000))
+        witnesses = harvest(chain[k - 1])
+        yield k, witnesses, int(round((time.perf_counter() - t0) * 1000))
         if witnesses:
             return
+        t0 = time.perf_counter()
 
 
 def search_degree(
@@ -126,18 +120,17 @@ def search_degree(
     schedule: Iterable[int],
     delta: Fraction = CHAIN_DELTA,
 ) -> list[SweepRecord]:
-    """One record per width that search_widths attempts; the last may be a find."""
+    """One record per width that search_widths attempts; the last may be a find.
+
+    A find records harvest's first witness, the best by (n, coefficients).
+    """
     records = []
-    for k, witnesses, error, elapsed in search_widths(d, schedule, delta):
+    for k, witnesses, elapsed in search_widths(d, schedule, delta):
         if witnesses:
-            best = min(witnesses, key=lambda w: (w.n, w.poly.coeffs))
-            records.append(
-                SweepRecord(d, k, True, best.m, best.n, best.poly.coeffs, elapsed)
-            )
+            best = witnesses[0]
+            records.append(SweepRecord(d, k, True, best.m, best.n, best.poly.coeffs, elapsed))
         else:
-            records.append(
-                SweepRecord(d, k, False, None, None, None, elapsed, error=error)
-            )
+            records.append(SweepRecord(d, k, False, None, None, None, elapsed))
     return records
 
 
@@ -157,10 +150,8 @@ def run_sweep(
     if not 2 <= d_from <= d_to:
         raise ValueError(f"need 2 <= d_from <= d_to, got {d_from}..{d_to}")
     degrees = [d for d in range(d_from, d_to + 1) if d not in skip_degrees]
-    if not degrees:
-        return
     schedules = [default_k_schedule(d, k_max) for d in degrees]
-    if jobs <= 1 or len(degrees) == 1:
+    if jobs <= 1 or len(degrees) <= 1:
         for d, schedule in zip(degrees, schedules):
             yield from search_degree(d, schedule, delta)
         return
@@ -190,22 +181,24 @@ def sweep_to_file(
     A degree is finished once the file holds its terminal record: a find, or
     the attempt at k = 2 that ends every schedule.  A degree cut off by a
     crash is searched again, and its new records follow the old ones, which
-    read_sweep_file then drops.  Each degree's records are written and
-    flushed as one batch.
+    read_sweep_file then drops.  Each degree's records are appended as one
+    batch, and the file is opened only to append a finished batch, so an
+    argument error (degree range, k_max, delta) raises before the file is
+    created or changed.
     """
     path = Path(path)
     done: set[int] = set()
     if path.exists():
-        _cut_torn_line(path)
         done = {r.d for r in read_sweep_file(path) if r.found or r.k == 2}
     written = []
-    with path.open("a") as fh:
-        records = run_sweep(d_from, d_to, k_max, jobs, delta, frozenset(done))
-        for _, batch in groupby(records, key=lambda r: r.d):
-            batch = list(batch)
+    records = run_sweep(d_from, d_to, k_max, jobs, delta, frozenset(done))
+    for _, batch in groupby(records, key=lambda r: r.d):
+        batch = list(batch)
+        if not written and path.exists():
+            _cut_torn_line(path)
+        with path.open("a") as fh:
             fh.write("".join(json.dumps(r.to_json()) + "\n" for r in batch))
-            fh.flush()
-            written.extend(batch)
+        written.extend(batch)
     return written
 
 

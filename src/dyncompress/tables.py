@@ -154,26 +154,25 @@ def _verify_t1() -> TableReport:
     return TableReport("T1", tuple(rows))
 
 
-def _verify_t2(depth_pre: int = 4, depth_per: int = 3, depth_bits: int = 128) -> TableReport:
+# Depth and working precision of the depth search behind T2's d = 2 row.
+T2_DEPTH = {"max_pre": 4, "max_per": 3}
+T2_DEPTH_BITS = 128
+
+
+def _verify_t2() -> TableReport:
     rows = []
     for d in sorted(TABLE2):
         expected = TABLE2[d]
         if d == 2:
             f = table1_poly(2)
             report = common_preper_depth_search(
-                f, f + 1, max_pre=depth_pre, max_per=depth_per,
-                precision_bits=depth_bits,
+                f, f + 1, **T2_DEPTH, precision_bits=T2_DEPTH_BITS
             )
             computed = report.count
             ok = computed >= expected
             rows.append(
                 {
-                    "inputs": {
-                        "d": d,
-                        "source": "depth_search",
-                        "max_pre": depth_pre,
-                        "max_per": depth_per,
-                    },
+                    "inputs": {"d": d, "source": "depth_search", **T2_DEPTH},
                     "expected": expected,
                     "computed": computed,
                     "comparison": ">=",

@@ -1,8 +1,10 @@
 """End-to-end CLI checks: output shapes, exit codes, option validation."""
 import json
 
+import mpmath
 import pytest
 from click.testing import CliRunner
+from mpmath.libmp.libhyper import NoConvergence
 
 import dyncompress.sweep as sweep_mod
 from dyncompress.cli import main
@@ -89,15 +91,16 @@ def test_search_delta_validation(runner):
     assert res.exit_code == 0
 
 
-def test_search_reports_attempt_errors(runner, monkeypatch):
-    # search and sweep share one loop; a rejected attempt is a usage error here
+def test_search_propagates_harvest_errors(runner, monkeypatch):
+    # arguments are checked up front; a later ValueError is a bug, not a usage error
     def reject(reduced):
         raise ValueError("synthetic rejection")
 
     monkeypatch.setattr(sweep_mod, "harvest", reject)
     res = runner.invoke(main, ["search", "-d", "2", "--k", "6"])
-    assert res.exit_code == 2
-    assert "synthetic rejection" in res.output
+    assert res.exit_code == 1
+    assert isinstance(res.exception, ValueError)
+    assert str(res.exception) == "synthetic rejection"
 
 
 def test_sweep_and_resume(runner, tmp_path):
@@ -115,6 +118,19 @@ def test_sweep_and_resume(runner, tmp_path):
     assert runner.invoke(
         main, ["sweep", "--from", "5", "--to", "2", "--out", str(out)]
     ).exit_code == 2
+
+
+@pytest.mark.parametrize("bad", [
+    ["--from", "5", "--to", "2"],
+    ["--from", "2", "--to", "3", "--k-max", "1"],
+    ["--from", "2", "--to", "3", "--delta", "1/5"],
+    ["--from", "2", "--to", "3", "--jobs", "0"],
+])
+def test_sweep_rejects_bad_arguments_before_writing(runner, tmp_path, bad):
+    out = tmp_path / "sweep.jsonl"
+    res = runner.invoke(main, ["sweep", *bad, "--out", str(out)])
+    assert res.exit_code == 2
+    assert not out.exists()
 
 
 def test_volume_command(runner):
@@ -200,6 +216,66 @@ def test_verify_tables_command(runner):
     assert [r["table_id"] for r in out] == ["T1", "T3"]
     assert all(r["pass"] for r in out)
     assert runner.invoke(main, ["verify-tables", "--tables", "T7"]).exit_code == 2
+
+
+def _write_poly(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+MONOMIAL_COMMANDS = [
+    ["verify", "--m", "3", "--n", "3"],
+    ["common", "--m", "3", "--n", "2"],
+    ["preimage-count", "--n", "5"],
+    ["common-depth", "--shift", "1", "--max-pre", "1", "--max-per", "2"],
+    ["dump-values", "--from", "-3", "--to", "3"],
+]
+
+
+@pytest.mark.parametrize("command", MONOMIAL_COMMANDS, ids=lambda c: c[0])
+def test_monomial_input_matches_binomial(runner, tmp_path, command):
+    # x^2 + 1 in the monomial basis is (1, 1, 2) in the binomial basis
+    mono = _write_poly(tmp_path, "mono.json",
+                       {"basis": "monomial", "coeffs": [["1", "1"], ["0", "1"], ["1", "1"]]})
+    binom = _write_poly(tmp_path, "binom.json", {"basis": "binomial", "coeffs": [1, 1, 2]})
+    name, *args = command
+    from_mono = runner.invoke(main, [name, "--poly", mono, *args])
+    from_binom = runner.invoke(main, [name, "--poly", binom, *args])
+    assert from_mono.exception is None or isinstance(from_mono.exception, SystemExit)
+    assert (from_mono.exit_code, from_mono.output) == (from_binom.exit_code, from_binom.output)
+
+
+@pytest.mark.parametrize("command", MONOMIAL_COMMANDS[:4], ids=lambda c: c[0])
+def test_monomial_input_must_be_integer_valued(runner, tmp_path, command):
+    half_x = _write_poly(tmp_path, "half.json",
+                         {"basis": "monomial", "coeffs": [["0", "1"], ["1", "2"]]})
+    name, *args = command
+    res = runner.invoke(main, [name, "--poly", half_x, *args])
+    assert res.exit_code == 2
+    assert "not integer-valued" in res.output
+
+
+def test_dump_values_prints_rational_values(runner, tmp_path):
+    half_x = _write_poly(tmp_path, "half.json",
+                         {"basis": "monomial", "coeffs": [["0", "1"], ["1", "2"]]})
+    res = runner.invoke(main, ["dump-values", "--poly", half_x, "--from", "1", "--to", "2"])
+    assert res.exit_code == 0
+    assert res.output.splitlines() == ["x,value", "1,1/2", "2,1"]
+
+
+def test_common_depth_reports_root_finding_failure(runner, quad_file, monkeypatch):
+    def never(*args, **kwargs):
+        raise NoConvergence("synthetic")
+
+    monkeypatch.setattr(mpmath, "polyroots", never)
+    res = runner.invoke(
+        main, ["common-depth", "--poly", quad_file, "--shift", "1", "--max-pre", "0",
+               "--max-per", "1"]
+    )
+    assert res.exit_code == 1
+    out = json.loads(res.output)
+    assert "cycle length 1" in out["error"]
 
 
 def test_dump_values_csv(runner, quad_file):

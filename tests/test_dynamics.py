@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mpmath.libmp.libhyper import NoConvergence
 
 import dyncompress.dynamics as dynamics
 import dyncompress.polynomials as polynomials
 from dyncompress.compression import best_window
 from dyncompress.dynamics import (
+    RootFindingError,
     common_preper_bound,
     common_preper_depth_search,
     escape_radius,
@@ -392,12 +394,45 @@ def test_depth_search_fixed_points_not_shared():
     assert rep.per_level == (2,)
 
 
+def test_depth_search_escalates_root_finding_precision(monkeypatch):
+    # polyroots that converges only at the last extra precision still
+    # gives the census of the unpatched search
+    real = dynamics.mp.polyroots
+    tried = []
+
+    def late(coeffs, maxsteps, extraprec):
+        tried.append(extraprec)
+        if extraprec < 200:
+            raise NoConvergence("synthetic")
+        return real(coeffs, maxsteps=maxsteps, extraprec=extraprec)
+
+    monkeypatch.setattr(dynamics.mp, "polyroots", late)
+    rep = common_preper_depth_search(QUAD, QUAD + 1, 2, 3)
+    assert (rep.count, rep.per_level) == (18, (10, 10, 20))
+    # every call escalates 10 -> 60 -> 200
+    assert tried and tried == [10, 60, 200] * (len(tried) // 3)
+
+
+def test_depth_search_raises_when_root_finding_never_converges(monkeypatch):
+    tried = []
+
+    def never(coeffs, maxsteps, extraprec):
+        tried.append(extraprec)
+        raise NoConvergence("synthetic")
+
+    monkeypatch.setattr(dynamics.mp, "polyroots", never)
+    with pytest.raises(RootFindingError, match="cycle length 1") as info:
+        common_preper_depth_search(QUAD, QUAD + 1, 0, 1)
+    assert tried == [10, 60, 200]
+    assert isinstance(info.value.__cause__, NoConvergence)
+
+
 def test_depth_search_validation():
     with pytest.raises(ValueError):
         common_preper_depth_search(QUAD, QUAD, -1, 1)
     with pytest.raises(ValueError):
         common_preper_depth_search(QUAD, QUAD, 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cap 16384; lower max_pre/max_per$"):
         common_preper_depth_search(QUAD, QUAD, 12, 3)  # iterate degree 2^15
     with pytest.raises(ValueError):
         common_preper_depth_search(QUAD, BinomialPoly((1, 1)), 1, 1)

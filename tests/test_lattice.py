@@ -14,7 +14,6 @@ from dyncompress.lattice import (
     CHAIN_DELTA,
     LatticeBasis,
     LatticeInvariantError,
-    ReducedBasis,
     build_lattice,
     harvest,
     lll_chain,
@@ -256,7 +255,7 @@ def test_lll_reduce_matches_reference_loop(basis, delta):
     assert lll_reduce(basis, delta).vectors == lll_reduce_reference(basis, delta)
 
 
-def _extend(reduced: ReducedBasis, d: int) -> LatticeBasis:
+def _extend(reduced: LatticeBasis, d: int) -> LatticeBasis:
     """One lll_chain step before reduction: append f(d+k+1) to every vector."""
     weights = [(-1) ** (d - j) * comb(d + 1, j) for j in range(d + 1)]
     return LatticeBasis(tuple(
@@ -384,7 +383,7 @@ def test_harvest_empty_for_spread_out_basis():
     vecs = tuple(
         tuple(100 if i == j else 0 for j in range(8)) for i in range(3)
     )
-    assert harvest(ReducedBasis(vectors=vecs, delta=Fraction(3, 4))) == []
+    assert harvest(LatticeBasis(vecs)) == []
 
 
 def test_harvest_raises_on_corrupted_tail():
@@ -393,7 +392,7 @@ def test_harvest_raises_on_corrupted_tail():
     vecs = [list(v) for v in lll_reduce(build_lattice(2, 6)).vectors]
     assert vecs[2][-1] == 4
     vecs[2][-1] = 5
-    corrupted = ReducedBasis(tuple(map(tuple, vecs)), Fraction(3, 4))
+    corrupted = LatticeBasis(tuple(map(tuple, vecs)))
     with pytest.raises(LatticeInvariantError):
         harvest(corrupted)
 
@@ -410,7 +409,7 @@ def test_harvest_witnesses_pass_check_window(d, k):
         assert again == w and w.m == d + k
 
 
-def harvest_reference(reduced: ReducedBasis) -> list[CompressionWitness]:
+def harvest_reference(reduced: LatticeBasis) -> list[CompressionWitness]:
     """Reference harvest: all four signed combinations of every pair, filtered once built."""
     vecs = [list(v) for v in reduced.vectors]
     d = len(vecs) - 1
@@ -463,7 +462,7 @@ def mixed_binomial_bases(draw):
         else:
             vecs[i] = [x + c * y for x, y in zip(vecs[i], vecs[j])]
     draw(st.randoms(use_true_random=False)).shuffle(vecs)
-    return ReducedBasis(tuple(map(tuple, vecs)), CHAIN_DELTA)
+    return LatticeBasis(tuple(map(tuple, vecs)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -543,7 +542,6 @@ def test_lll_chain_spans_reference_lattice(d):
 )
 def test_lll_chain_bases_are_lll_reduced(d, delta):
     for reduced in lll_chain(d, 10, delta):
-        assert reduced.delta == delta
         _assert_lll_reduced(reduced.vectors, delta)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import dyncompress
 
 SOURCES = sorted(Path(dyncompress.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def test_no_assert_statements():
@@ -15,5 +16,51 @@ def test_no_assert_statements():
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a file imports and never reads, except on lines marked `# noqa: F401`."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text, filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name != "*":
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    assert len(TESTS) > 1
+    assert [u for path in SOURCES + TESTS for u in unused_imports(path)] == []
+
+
+def test_unused_import_scan_sees_unused_names(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import os\nimport os.path as osp\nfrom json import dumps, loads\n"
+        "from math import pi  # noqa: F401\nprint(loads('1'))\n"
+    )
+    assert unused_imports(sample) == ["sample.py:1 os", "sample.py:2 osp", "sample.py:3 dumps"]
+
+
+def test_no_coverage_exclusions():
+    # every branch of the package is meant to be reachable from the tests
+    found = [
+        f"{path.name}:{i}"
+        for path in SOURCES
+        for i, line in enumerate(path.read_text().splitlines(), start=1)
+        if "pragma: no cover" in line
     ]
     assert found == []

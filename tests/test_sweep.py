@@ -1,6 +1,7 @@
 """Degree sweep: schedules, record round-trips, resume, and parallel runs."""
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -90,20 +91,37 @@ def test_search_widths_golden_witnesses(d, digest):
     # sha256 of the witness JSON of every width the search harvests for d
     attempts = [
         [k, [w.to_json() for w in witnesses]]
-        for k, witnesses, _, _ in search_widths(d, default_k_schedule(d))
+        for k, witnesses, _ in search_widths(d, default_k_schedule(d))
     ]
     text = json.dumps(attempts, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_search_degree_error_records(monkeypatch):
+def test_search_degree_propagates_value_errors(monkeypatch):
+    # a ValueError after the arguments were checked is a bug, not a record
     def boom(reduced):
         raise ValueError("synthetic failure")
 
     monkeypatch.setattr(sweep_mod, "harvest", boom)
-    records = search_degree(2, [3, 2])
-    assert len(records) == 2
-    assert all(r.error == "synthetic failure" and not r.found for r in records)
+    with pytest.raises(ValueError, match="synthetic failure"):
+        search_degree(2, [3, 2])
+
+
+@pytest.mark.parametrize("d,schedule,delta", [
+    (1, (3, 2), CHAIN_DELTA),
+    (5, (3, 2), Fraction(1, 5)),
+    (5, (), CHAIN_DELTA),
+    (20, (9, 0, 8), CHAIN_DELTA),
+    (5, (0,), CHAIN_DELTA),
+])
+def test_search_rejects_bad_arguments_before_harvest(monkeypatch, d, schedule, delta):
+    calls = []
+    monkeypatch.setattr(sweep_mod, "harvest", lambda reduced: calls.append(reduced) or [])
+    with pytest.raises(ValueError):
+        search_degree(d, schedule, delta)
+    with pytest.raises(ValueError):
+        next(search_widths(d, schedule, delta))
+    assert calls == []
 
 
 def test_search_degree_propagates_invariant_errors(monkeypatch):
@@ -121,15 +139,16 @@ def test_record_json_round_trip():
     assert back == rec
     assert rec.to_json()["coeffs"] == ["2", "3", "-3", "1"]
     assert "error" not in rec.to_json()
-    err = SweepRecord(4, 2, False, None, None, None, 5, error="x")
-    assert SweepRecord.from_json(err.to_json()) == err
-    assert err.to_json()["error"] == "x"
+    # lines written when records could carry an error still parse
+    old = {"d": 4, "k": 2, "found": False, "m": None, "n": None, "coeffs": None,
+           "elapsed_ms": 5, "error": "x"}
+    assert SweepRecord.from_json(old) == SweepRecord(4, 2, False, None, None, None, 5)
 
 
 def test_run_sweep_deterministic_and_parallel():
     seq = [r for r in run_sweep(2, 5)]
     par = [r for r in run_sweep(2, 5, jobs=2)]
-    strip = lambda rs: [(r.d, r.k, r.found, r.m, r.n, r.coeffs, r.error) for r in rs]
+    strip = lambda rs: [(r.d, r.k, r.found, r.m, r.n, r.coeffs) for r in rs]
     assert strip(seq) == strip(par)
     ds = [r.d for r in seq]
     assert ds == sorted(ds)
@@ -156,6 +175,36 @@ def test_sweep_to_file_resume(tmp_path):
     stored = read_sweep_file(out)
     assert len(stored) == len(first) + len(second)
     assert all(verify_record(r) for r in stored if r.found)
+
+
+@pytest.mark.parametrize("d_from,d_to,kwargs", [
+    (11, 12, {"delta": Fraction(1, 5)}),
+    (12, 11, {}),
+    (11, 12, {"k_max": 1}),
+])
+def test_sweep_to_file_rejects_bad_arguments_before_writing(tmp_path, d_from, d_to, kwargs):
+    absent = tmp_path / "absent.jsonl"
+    with pytest.raises(ValueError):
+        sweep_to_file(absent, d_from, d_to, **kwargs)
+    assert not absent.exists()
+
+    # an existing file, torn last line included, stays byte-identical
+    existing = tmp_path / "existing.jsonl"
+    rec = SweepRecord(2, 6, True, 8, 7, (11, -4, 1), 3)
+    content = (json.dumps(rec.to_json()) + "\n" + '{"d": 3, "k": 9, "fo').encode()
+    existing.write_bytes(content)
+    with pytest.raises(ValueError):
+        sweep_to_file(existing, d_from, d_to, **kwargs)
+    assert existing.read_bytes() == content
+
+
+def test_sweep_to_file_resumes_after_rejected_delta(tmp_path):
+    out = tmp_path / "sweep.jsonl"
+    with pytest.raises(ValueError):
+        sweep_to_file(out, 11, 12, delta=Fraction(1, 5))
+    written = sweep_to_file(out, 11, 12)
+    assert [r.d for r in written if r.found] == [11, 12]
+    assert read_sweep_file(out) == written
 
 
 def test_read_sweep_file_skips_blank_lines(tmp_path):
