@@ -330,6 +330,35 @@ def _poly_roots(coeffs_mpc, label: str):
     ) from last_exc
 
 
+# Relative slack of the float screen in _near: converting mpc points to
+# Python complex and taking abs(zc - wc) in doubles errs by a few units of
+# 2^-53 of |z| + |w| + threshold, so 2^-48 times that (plus 1, for values
+# that underflow) bounds the gap between the float and the exact distance.
+_SCREEN_SLACK = 2.0**-48
+
+
+def _near(z, zc: complex, pool: list, pool_c: list, threshold, threshold_c: float) -> bool:
+    """Whether some pool point w has abs(z - w) <= threshold, decided in mp.
+
+    zc = complex(z), pool_c holds complex(w) for each w in pool, and
+    threshold_c is a float no smaller than any exact distance the mp test
+    accepts.  A pair whose float distance exceeds threshold_c by more than
+    the rounding slack is provably farther apart than that, so it is
+    skipped; every other pair takes the exact mp comparison, including one
+    whose float distance is NaN or inf (the comparison below is False for
+    both).  The answer is the one the mp scan of the whole pool gives.
+    """
+    base = threshold_c + _SCREEN_SLACK * (abs(zc) + threshold_c + 1)
+    for w, wc in zip(pool, pool_c):
+        dz = abs(zc - wc)
+        bound = base + _SCREEN_SLACK * abs(wc)
+        if dz > bound:
+            continue
+        if abs(z - w) <= threshold:
+            return True
+    return False
+
+
 def common_preper_depth_search(
     f: BinomialPoly,
     g: BinomialPoly,
@@ -353,6 +382,12 @@ def common_preper_depth_search(
     the bits.  An orbit that only converges to an attracting cycle of g
     closes in at a rate set by the cycle's multiplier, not by p, so its
     distance does not shrink when p grows and it is not counted.
+
+    Both distance tests (tol and the revisit floor) run a float screen
+    first: it skips only pairs that are provably far apart, whose
+    double-precision distance exceeds the threshold by more than a proven
+    rounding bound.  Every other pair takes the mp comparison, so every
+    keep, drop and merge is the one an mp scan of every pair makes.
 
     The census stays heuristic: an orbit attracted fast enough, as to a
     superattracting cycle, can still reach the noise floor within the step
@@ -386,15 +421,22 @@ def common_preper_depth_search(
                 acc = acc * z + c
             return acc
 
-        def dedup_add(pool, z):
-            for w in pool:
-                if abs(z - w) <= tol_mp:
-                    return False
-            pool.append(z)
+        # abs(z - w) in mp errs by a few units of 2^-p, so exact distances a
+        # little above a threshold can still pass the mp test
+        widen = 1 + 2.0 ** (3 - precision_bits)
+        tol_c = float(tol_mp) * widen
+        points: list = []
+        points_c: list = []  # complex(z) for each z in points
+
+        def dedup_add(z):
+            zc = complex(z)
+            if _near(z, zc, points, points_c, tol_mp, tol_c):
+                return False
+            points.append(z)
+            points_c.append(zc)
             return True
 
         # level 0: exact squarefree isolation of the short cycles of f
-        points: list = []
         comp = fm
         for c in range(1, max_per + 1):
             target = comp - RationalPoly.x()
@@ -403,7 +445,7 @@ def common_preper_depth_search(
                 mp.mpf(co.numerator) / co.denominator for co in reversed(sf.coeffs)
             ]
             for z in _poly_roots(coeffs, f"cycle length {c}"):
-                dedup_add(points, mp.mpc(z))
+                dedup_add(mp.mpc(z))
             if c < max_per:
                 comp = _compose(fm, comp)
         per_level = [len(points)]
@@ -417,7 +459,7 @@ def common_preper_depth_search(
                 shifted[-1] = shifted[-1] - w
                 for z in _poly_roots(shifted, f"preimage level {_a}"):
                     z = mp.mpc(z)
-                    if dedup_add(points, z):
+                    if dedup_add(z):
                         new_frontier.append(z)
             per_level.append(len(new_frontier))
             frontier = new_frontier
@@ -425,19 +467,22 @@ def common_preper_depth_search(
         # retention: g-orbit must stay bounded and revisit at the noise floor
         steps = 4 * (max_pre + max_per) + 20
         floor = g_rad * mp.ldexp(mp.mpf(1), -(7 * precision_bits // 8))
+        floor_c = float(floor) * widen
         retained = []
-        for z in points:
-            trail = [z]
+        for z, zc in zip(points, points_c):
+            trail, trail_c = [z], [zc]
             cur = z
             keep = False
             for _ in range(steps):
                 cur = g_eval(cur)
                 if abs(cur) > g_rad:
                     break
-                if any(abs(cur - p) <= floor for p in trail):
+                cur_c = complex(cur)
+                if _near(cur, cur_c, trail, trail_c, floor, floor_c):
                     keep = True
                     break
                 trail.append(cur)
+                trail_c.append(cur_c)
             if keep:
                 retained.append(z)
 

@@ -17,8 +17,6 @@ from typing import Optional, Sequence
 
 import mpmath as mp
 
-from .polynomials import binomial
-
 PRECISION_ENV = "DYNCOMPRESS_PRECISION_BITS"
 
 
@@ -90,7 +88,10 @@ def build_interpolation_matrix(d: int, k: int) -> InterpolationMatrix:
     Row r (1-based), column j holds (-1)^(d-j) C(d+r, j) C(d+r-j-1, r-1),
     the Lagrange coefficient of g(j) in g(d+r); equal to the product of the
     evaluation matrix (C(d+r, i)) with the inverse-difference matrix
-    ((-1)^(i-j) C(i, j)), but cheaper to build at large d.
+    ((-1)^(i-j) C(i, j)), but cheaper to build at large d.  Each row walks j
+    upwards by the exact integer recurrences
+    C(d+r, j+1) = C(d+r, j) (d+r-j) / (j+1) and
+    C(d+r-j-2, r-1) = C(d+r-j-1, r-1) (d-j) / (d+r-j-1).
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -99,9 +100,13 @@ def build_interpolation_matrix(d: int, k: int) -> InterpolationMatrix:
     rows = []
     for r in range(1, k):
         row = []
+        upper, lower = 1, math.comb(d + r - 1, r - 1)  # the two factors at j = 0
         for j in range(d + 1):
-            c = binomial(d + r, j) * binomial(d + r - j - 1, r - 1)
+            c = upper * lower
             row.append(-c if (d - j) % 2 else c)
+            upper = upper * (d + r - j) // (j + 1)
+            if j < d:
+                lower = lower * (d - j) // (d + r - j - 1)
         rows.append(tuple(row))
     return InterpolationMatrix(d=d, k=k, entries=tuple(rows))
 

@@ -94,7 +94,8 @@ def _exact_quotient(num: int, den: int) -> int:
     return q
 
 
-def _check_delta(delta) -> Fraction:
+def check_delta(delta) -> Fraction:
+    """delta as a Fraction; ValueError unless 1/4 < delta < 1."""
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
         raise ValueError("delta must lie in (1/4, 1)")
@@ -110,7 +111,7 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
     Output is size-reduced (|mu| <= 1/2) and satisfies the Lovász condition
     at the given delta; both are re-checkable by rational Gram-Schmidt.
     """
-    delta = _check_delta(delta)
+    delta = check_delta(delta)
     p, q = delta.numerator, delta.denominator
 
     b = [list(v) for v in basis.vectors]
@@ -198,7 +199,7 @@ def lll_chain(d: int, top: int, delta: Fraction = CHAIN_DELTA) -> tuple[LatticeB
         raise ValueError("d must be at least 2")
     if top < 1:
         raise ValueError("k must be at least 1")
-    delta = _check_delta(delta)
+    delta = check_delta(delta)
     weights = [(-1) ** (d - j) * comb(d + 1, j) for j in range(d + 1)]
     identity = tuple(tuple(int(i == j) for j in range(d + 1)) for i in range(d + 1))
     chain = [LatticeBasis(identity)]

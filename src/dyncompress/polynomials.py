@@ -150,14 +150,29 @@ class BinomialPoly:
         return BinomialPoly(tuple(_pascal_steps(list(self.coeffs), t)))
 
     def to_monomial(self) -> "RationalPoly":
-        """Exact change of basis to monomial coefficients over Q."""
-        acc = RationalPoly.zero()
-        basis = RationalPoly.one()  # C(x, i) built up by multiplying (x - i)/(i + 1)
+        """Exact change of basis to monomial coefficients over Q.
+
+        Accumulates d! * f = sum a_i * (d!/i!) * x(x-1)...(x-i+1) in
+        integers, advancing the falling factorial by one multiplication by
+        (x - i) per step, and divides by d! once at the end.
+        """
+        d = self.degree
+        # scale[i] = d!/i!, filled from the top
+        scale = [1] * (d + 1)
+        for i in range(d - 1, -1, -1):
+            scale[i] = scale[i + 1] * (i + 1)
+        acc = [0] * (d + 1)
+        falling = [1]  # monomial coefficients of x(x-1)...(x-i+1), lowest first
         for i, a in enumerate(self.coeffs):
             if a:
-                acc = acc + basis.scale(a)
-            basis = basis.mul_linear(Fraction(1, i + 1), Fraction(-i, i + 1))
-        return acc
+                w = a * scale[i]
+                for j, c in enumerate(falling):
+                    acc[j] += w * c
+            falling = [
+                hi - i * lo for hi, lo in zip([0] + falling, falling + [0])
+            ]
+        den = scale[0] if acc else 1
+        return RationalPoly(tuple(Fraction(c, den) for c in acc))
 
     def __add__(self, other):
         if isinstance(other, int):

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 from .compression import CompressionWitness, check_window
 # lll_reduce stays bound here: perfbench's tracer test reads sweep.lll_reduce.
-from .lattice import CHAIN_DELTA, harvest, lll_chain, lll_reduce  # noqa: F401
+from .lattice import CHAIN_DELTA, check_delta, harvest, lll_chain, lll_reduce  # noqa: F401
 from .polynomials import BinomialPoly
 
 
@@ -145,12 +145,16 @@ def run_sweep(
     """Yield sweep records for d_from..d_to in deterministic (d, k) order.
 
     Degrees run on a worker pool when jobs > 1; the merge order is by degree
-    regardless of worker scheduling.
+    regardless of worker scheduling.  The range, k_max and delta are checked
+    before skip_degrees applies, so they raise ValueError even when every
+    degree is skipped.
     """
     if not 2 <= d_from <= d_to:
         raise ValueError(f"need 2 <= d_from <= d_to, got {d_from}..{d_to}")
-    degrees = [d for d in range(d_from, d_to + 1) if d not in skip_degrees]
-    schedules = [default_k_schedule(d, k_max) for d in degrees]
+    check_delta(delta)
+    by_degree = {d: default_k_schedule(d, k_max) for d in range(d_from, d_to + 1)}
+    degrees = [d for d in by_degree if d not in skip_degrees]
+    schedules = [by_degree[d] for d in degrees]
     if jobs <= 1 or len(degrees) <= 1:
         for d, schedule in zip(degrees, schedules):
             yield from search_degree(d, schedule, delta)
@@ -206,6 +210,10 @@ def read_sweep_file(path: str | Path) -> list[SweepRecord]:
     """The records of a sweep file, keeping only the last run of each degree.
 
     Text after the last newline is a line a crash cut short and is skipped.
+    So is a line with an "error" key, which earlier versions wrote for an
+    attempt that raised: it records no search outcome, and counting its
+    k = 2 line as terminal would keep sweep_to_file from searching that
+    degree again.
     A run is one degree's batch as sweep_to_file writes it: consecutive
     lines of one degree whose k falls by one per line.  A degree searched
     again after a crash has an earlier, partial run; only its last run is
@@ -219,7 +227,10 @@ def read_sweep_file(path: str | Path) -> list[SweepRecord]:
         line = line.strip()
         if not line:
             continue
-        rec = SweepRecord.from_json(json.loads(line))
+        obj = json.loads(line)
+        if "error" in obj:
+            continue
+        rec = SweepRecord.from_json(obj)
         prev = runs[-1][-1] if runs else None
         if prev is not None and prev.d == rec.d and prev.k == rec.k + 1:
             runs[-1].append(rec)

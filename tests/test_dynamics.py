@@ -1,7 +1,11 @@
 """Orbits, preperiodic searches, preimage counts, and the depth search."""
+import functools
+import hashlib
+import json
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath.libmp.libhyper import NoConvergence
@@ -344,12 +348,19 @@ def test_common_preper_bound_rejects():
         common_preper_bound(QUAD, 9, 7)  # window fails at 9
 
 
+@functools.cache
+def shifted_census(deg, max_pre, max_per, bits):
+    """The census of table1_poly(deg) and its shift by one, computed once per test run."""
+    f = table1_poly(deg)
+    return common_preper_depth_search(f, f + 1, max_pre, max_per, precision_bits=bits)
+
+
 def test_depth_search_shift_one():
-    g = QUAD + 1
-    shallow = common_preper_depth_search(QUAD, g, 2, 3)
+    assert table1_poly(2) == QUAD
+    shallow = shifted_census(2, 2, 3, 128)
     assert shallow.count == 18
     assert shallow.per_level == (10, 10, 20)
-    deep = common_preper_depth_search(QUAD, g, 4, 3)
+    deep = shifted_census(2, 4, 3, 128)
     assert deep.count == 26
     assert deep.per_level == (10, 10, 20, 40, 80)
     j = deep.to_json()
@@ -357,9 +368,8 @@ def test_depth_search_shift_one():
 
 
 def test_depth_search_precision_stability():
-    g = QUAD + 1
-    base = common_preper_depth_search(QUAD, g, 2, 3, precision_bits=128)
-    double = common_preper_depth_search(QUAD, g, 2, 3, precision_bits=256)
+    base = shifted_census(2, 2, 3, 128)
+    double = shifted_census(2, 2, 3, 256)
     assert base.count == double.count == 18
 
 
@@ -367,18 +377,70 @@ def test_depth_search_ignores_attracting_cycle():
     # at depth 5 eight g-orbits only converge to g's attracting 4-cycle
     # (multiplier about -0.03) and close to ~1e-21 after 52 steps at any
     # precision; the census stays at the 26 exact revisits
-    g = QUAD + 1
     for bits in (128, 256):
-        rep = common_preper_depth_search(QUAD, g, 5, 3, precision_bits=bits)
+        rep = shifted_census(2, 5, 3, bits)
         assert rep.count == 26
         assert rep.per_level == (10, 10, 20, 40, 80, 160)
 
 
 def test_depth_search_longer_cycles_add_nothing():
     # period-4 candidates add two more orbits drawn into the same cycle
-    rep = common_preper_depth_search(QUAD, QUAD + 1, 4, 4)
+    rep = shifted_census(2, 4, 4, 128)
     assert rep.count == 26
     assert rep.per_level == (22, 22, 44, 88, 176)
+
+
+@pytest.mark.parametrize("deg,max_pre,max_per,bits,count,digest", [
+    (2, 2, 3, 128, 18, "8567e4b2f9043416389570cc6619c26331d469b02cbe6f1c0c86381f13ed237e"),
+    (2, 4, 3, 128, 26, "649590d98bd04762a3a2b6b52130bef080fb291648003af33fe82a56df993e6f"),
+    (2, 5, 3, 128, 26, "8088518aa5a1566d2b2b2e4b7257a41c0b7b8baef84cc7c3064da62faa819e1c"),
+    (2, 4, 4, 128, 26, "cc26188f4df739641a849aa5fb4b0036d523657d1fe13c0bd83fe3dc581e4e86"),
+    (2, 4, 3, 256, 26, "c1c331cff98102b11f98cd300afe9880f47785f5e05c764c2d6fd47d5142a0e8"),
+    (3, 1, 2, 128, 3, "c347d1bc2a42c67ba2ce3894bd18ea9163c97b711dff5d0e60ac013a3e149c90"),
+    (3, 2, 2, 128, 12, "67bf490102aa44f9216d9458403adf1c3239a3640d2e1737bbd8d7c4c46dc491"),
+])
+def test_depth_search_report_golden(deg, max_pre, max_per, bits, count, digest):
+    # sha256 of the full report JSON (points to the last float bit), as the
+    # census computed it with an mp comparison for every pair of points
+    rep = shifted_census(deg, max_pre, max_per, bits)
+    assert rep.count == count
+    text = json.dumps(rep.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_near_screen_defers_unresolved_pairs_to_mp():
+    one = mp.mpc(1)
+    with mp.workprec(128):
+        for agree, threshold, near in (
+            (100, mp.ldexp(1, -90), True),
+            (100, mp.ldexp(1, -110), False),
+            (60, mp.ldexp(1, -59), True),
+            (60, mp.ldexp(1, -61), False),
+        ):
+            # the float images of both points are 1.0, so only mp tells them apart
+            z = one + mp.ldexp(1, -agree)
+            assert complex(z) == complex(one)
+            got = dynamics._near(z, complex(z), [one], [complex(one)], threshold, float(threshold))
+            assert got is near
+        # rounding to doubles stretches 0.6 ulp of 1.0 to a whole ulp, past
+        # the threshold; only the slack sends the pair on to mp
+        z = one + mp.mpf(0.6) * mp.ldexp(1, -52)
+        threshold = mp.mpf(0.7) * mp.ldexp(1, -52)
+        assert abs(complex(z) - complex(one)) > float(threshold)
+        assert dynamics._near(z, complex(z), [one], [complex(one)], threshold, float(threshold))
+        # a pair the floats prove far apart never reaches the mp comparison,
+        # which would raise on the None stand-in
+        assert not dynamics._near(one, 1j, [None], [5 + 0j], mp.mpf(1), 1.0)
+        # NaN and inf float distances fall through to the mp comparison
+        z = one + mp.ldexp(1, -100)
+        threshold = mp.ldexp(1, -90)
+        for zc, wc in (
+            (complex(z), complex("nan")),
+            (complex(z), complex("inf")),
+            (complex("inf"), complex("inf")),
+            (complex("nan"), complex(z)),
+        ):
+            assert dynamics._near(z, zc, [one], [wc], threshold, float(threshold))
 
 
 def test_depth_search_same_map_keeps_everything():

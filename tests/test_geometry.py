@@ -68,6 +68,20 @@ def test_matrix_closed_form_equals_product():
                     assert mat.entries[r - 1][j] == total
 
 
+@pytest.mark.parametrize("d", [2, 5, 64, 300])
+def test_matrix_matches_closed_form(d):
+    # the row recurrences give exactly (-1)^(d-j) C(d+r, j) C(d+r-j-1, r-1)
+    for k in range(2, 6):
+        mat = build_interpolation_matrix(d, k)
+        assert mat.entries == tuple(
+            tuple(
+                (-1) ** (d - j) * binomial(d + r, j) * binomial(d + r - j - 1, r - 1)
+                for j in range(d + 1)
+            )
+            for r in range(1, k)
+        )
+
+
 def test_matrix_norms_rank_one():
     n = matrix_norms(((1, -3, 3),))
     assert n.max == 3

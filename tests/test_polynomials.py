@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dyncompress.polynomials as polynomials
 from dyncompress.polynomials import (
@@ -152,6 +152,28 @@ def test_to_monomial_agrees_at_rational_points():
         for _ in range(20):
             x = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
             assert mono(x) == f(x)
+
+
+def to_monomial_by_fractions(f):
+    """Reference change of basis: C(x, i) built by Fraction factors (x - i)/(i + 1)."""
+    acc = RationalPoly.zero()
+    basis = RationalPoly.one()
+    for i, a in enumerate(f.coeffs):
+        acc = acc + basis.scale(a)
+        basis = basis.mul_linear(Fraction(1, i + 1), Fraction(-i, i + 1))
+    return acc
+
+
+@kernel_settings
+@given(st.lists(st.one_of(st.just(0), st.integers(-(2**64), 2**64)), max_size=41))
+@example([])
+@example([0, 0, 0])
+@example([3, 0, 7, 0, 0])
+@example([1] * 41)
+def test_to_monomial_matches_fraction_oracle(coeffs):
+    # trailing zeros are dropped, so the degree may be lower than the list
+    f = BinomialPoly(tuple(coeffs))
+    assert f.to_monomial() == to_monomial_by_fractions(f)
 
 
 def test_rational_ring_operations():

@@ -207,6 +207,33 @@ def test_sweep_to_file_resumes_after_rejected_delta(tmp_path):
     assert read_sweep_file(out) == written
 
 
+def test_sweep_to_file_searches_degree_with_old_error_line(tmp_path):
+    # earlier versions wrote a record with an "error" key per failed attempt;
+    # its k = 2 line used to mark the degree finished
+    out = tmp_path / "sweep.jsonl"
+    old = {"d": 11, "k": 2, "found": False, "m": None, "n": None, "coeffs": None,
+           "elapsed_ms": 0, "error": "delta must lie in (1/4, 1)"}
+    out.write_text(json.dumps(old) + "\n")
+    assert read_sweep_file(out) == []
+    written = sweep_to_file(out, 11, 11)
+    assert [r.d for r in written if r.found] == [11]
+    assert read_sweep_file(out) == written
+
+
+@pytest.mark.parametrize("kwargs", [{"k_max": 1}, {"delta": Fraction(1, 5)}])
+def test_sweep_to_file_rejects_bad_arguments_when_all_finished(tmp_path, kwargs):
+    out = tmp_path / "sweep.jsonl"
+    rec = SweepRecord(2, 6, True, 8, 7, (11, -4, 1), 3)
+    content = (json.dumps(rec.to_json()) + "\n").encode()
+    out.write_bytes(content)
+    assert sweep_to_file(out, 2, 2) == []
+    with pytest.raises(ValueError):
+        sweep_to_file(out, 2, 2, **kwargs)
+    with pytest.raises(ValueError):
+        list(run_sweep(2, 2, skip_degrees=frozenset({2}), **kwargs))
+    assert out.read_bytes() == content
+
+
 def test_read_sweep_file_skips_blank_lines(tmp_path):
     out = tmp_path / "records.jsonl"
     rec = SweepRecord(2, 6, True, 8, 7, (11, -4, 1), 3)
