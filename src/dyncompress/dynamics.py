@@ -183,9 +183,15 @@ def orbit(f: BinomialPoly, x0: Rat, max_steps: int = 1000) -> OrbitRecord:
         raise ValueError("orbit needs degree >= 2")
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
-    radius = escape_radius(f.to_monomial())
-    den_bound = preper_denominator_bound(f)
-    start = Fraction(x0)
+    return _orbit(
+        f, Fraction(x0), max_steps, escape_radius(f.to_monomial()), preper_denominator_bound(f)
+    )
+
+
+def _orbit(
+    f: BinomialPoly, start: Fraction, max_steps: int, radius: Fraction, den_bound: int
+) -> OrbitRecord:
+    """orbit, given f's escape radius and preperiodic denominator bound."""
     if den_bound % start.denominator:
         return OrbitRecord(
             start=start, status="escaped", escaped_at=0, witness_value=start
@@ -229,6 +235,7 @@ def preper_search_rational(
     if bound < 0 or max_denominator < 1:
         raise ValueError("bound must be >= 0 and max_denominator >= 1")
     den_bound = preper_denominator_bound(f)
+    radius = escape_radius(f.to_monomial())
     cap = 4 * bound * max_denominator + 100
     out = []
     seen = set()
@@ -240,7 +247,7 @@ def preper_search_rational(
             if z in seen:
                 continue
             seen.add(z)
-            rec = orbit(f, z, max_steps=cap)
+            rec = _orbit(f, z, cap, radius, den_bound)
             if rec.status == "undecided":
                 raise OrbitUndecided(f"orbit of {z} undecided after {cap} steps")
             if rec.status == "periodic":

@@ -21,8 +21,11 @@ Harvest keeps a combination only when its spread, max - min, is at most
 width - 1, since only then does a shift put its values in [1, width].  The
 spread is a seminorm, so spread(a +- b) >= |spread(a) - spread(b)|, and a
 pair whose spreads differ by more than width - 1 is skipped without building
-anything.  Each survivor's values are walked once and its witness is built
-from them.
+anything.  Interpolation is linear, so a survivor's binomial coefficients
+are the sum or difference of its basis vectors' coefficients, with its
+constant shift added to the C(x, 0) one.  Each basis vector that joins a
+deduplicated survivor is interpolated once, and its tail is checked against
+that interpolation then; after that a survivor costs O(d) additions.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from math import comb
 from operator import mul
 
 from .compression import CompressionWitness
-from .polynomials import binomial, interpolate
+from .polynomials import BinomialPoly, binomial, interpolate
 
 
 @dataclass(frozen=True)
@@ -228,18 +231,23 @@ def harvest(reduced: LatticeBasis) -> list[CompressionWitness]:
     Any other pair builds a + b and a - b, O(d + k) additions each, and a
     negation is formed only for a combination whose spread passes.
 
-    Survivors are deduplicated on the shifted value vector before anything
-    is interpolated.  The polynomial comes from the forward differences of
-    the first d+1 values, and one walk of its difference table gives all
-    d+k values; they must equal the candidate, whose minimum is 1 and
-    maximum n <= d+k, so the witness of [d+k] -> [n] is built from them
-    without a second walk.  Per distinct survivor this is O((d + k) * d)
-    big-integer additions and no multiplication or division.
+    Survivors are deduplicated on the shifted value vector, and only then is
+    a polynomial built.  Interpolation is linear, so a survivor +-(a +- b)
+    shifted by a constant has the binomial coefficients +-(c_a +- c_b) of
+    its basis vectors with the shift added to the C(x, 0) coefficient.  Each
+    basis vector is interpolated once, when it first joins a survivor that
+    passes the dedup, from its first d+1 values; one walk of the difference
+    table must give back all d+k of them.  After that a survivor costs O(d)
+    big-integer additions for its coefficients, and its witness of
+    [d+k] -> [n] is built from them and its shifted values, whose minimum
+    is 1 and maximum n <= d+k.
 
-    Raises LatticeInvariantError when a candidate's tail disagrees with its
-    first d+1 values: every candidate is an integer combination of the
-    basis, so that happens only when the basis does not span a binomial
-    value lattice, for example after a wrong chain extension.
+    Raises LatticeInvariantError when a contributing basis vector's tail
+    disagrees with its first d+1 values, which happens only when the basis
+    does not span a binomial value lattice, for example after a wrong chain
+    extension.  Every integer combination of vectors that pass the check
+    passes it too, so the check certifies each survivor; it also catches
+    two corrupted vectors whose errors cancel in a survivor.
     """
     vecs = reduced.vectors
     d = len(vecs) - 1
@@ -250,33 +258,55 @@ def harvest(reduced: LatticeBasis) -> list[CompressionWitness]:
 
     limit = width - 1
     spreads = [max(v) - min(v) for v in vecs]
-    short = [v for v, s in zip(vecs, spreads) if s <= limit]
+    # a survivor w = a + sign * b, or w = a when b is None
+    short = [(v, a, None, 1) for a, (v, s) in enumerate(zip(vecs, spreads)) if s <= limit]
     for a, (va, sa) in enumerate(zip(vecs, spreads)):
-        for vb, sb in zip(vecs[a + 1:], spreads[a + 1:]):
-            if abs(sa - sb) > limit:
+        for b in range(a + 1, d + 1):
+            vb = vecs[b]
+            if abs(sa - spreads[b]) > limit:
                 continue
-            for w in ([x + y for x, y in zip(va, vb)], [x - y for x, y in zip(va, vb)]):
+            for sign, w in ((1, [x + y for x, y in zip(va, vb)]),
+                            (-1, [x - y for x, y in zip(va, vb)])):
                 if max(w) - min(w) <= limit:
-                    short.append(w)
+                    short.append((w, a, b, sign))
+
+    basis_coeffs = [None] * (d + 1)
+
+    def coeffs_of(i: int) -> list[int]:
+        # binomial coefficients of basis vector i, padded to d + 1
+        if basis_coeffs[i] is None:
+            v = vecs[i]
+            f = interpolate(v[: d + 1], 1)
+            if f.values(1, width) != list(v):
+                raise LatticeInvariantError(
+                    f"basis vector of width {width} is not the value vector of a degree-{d} polynomial"
+                )
+            basis_coeffs[i] = list(f.coeffs) + [0] * (d + 1 - len(f.coeffs))
+        return basis_coeffs[i]
 
     seen = set()
     out = []
-    for w in short:
+    for w, a, b, sign in short:
         if not any(w):
             continue
         lo, hi = min(w), max(w)
         n = hi - lo + 1
+        c = None
         # w and -w, each shifted so that its minimum is 1
-        for key in (tuple(x + 1 - lo for x in w), tuple(hi + 1 - x for x in w)):
+        for negate, key in ((False, tuple(x + 1 - lo for x in w)),
+                            (True, tuple(hi + 1 - x for x in w))):
             if key in seen:
                 continue
             seen.add(key)
-            vals = list(key)
-            f = interpolate(vals[: d + 1], 1)
-            if f.values(1, width) != vals:
-                raise LatticeInvariantError(
-                    f"candidate of width {width} is not the value vector of a degree-{d} polynomial"
-                )
+            if c is None:
+                c = coeffs_of(a)
+                if b is not None:
+                    c = [x + sign * y for x, y in zip(c, coeffs_of(b))]
+            if negate:
+                coeffs = [hi + 1 - c[0]] + [-x for x in c[1:]]
+            else:
+                coeffs = [c[0] + 1 - lo] + c[1:]
+            f = BinomialPoly(tuple(coeffs))
             if f.degree < 2:
                 continue
             out.append(CompressionWitness(f, width, n, key))

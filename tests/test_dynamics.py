@@ -204,6 +204,35 @@ def test_preper_search_rational_census():
         preper_search_rational(QUAD, 5, 0)
 
 
+@pytest.mark.parametrize("f,bound,max_denominator", [
+    (QUAD, 12, 3),
+    (BinomialPoly((0, 2, 4)), 2, 6),
+    (table1_poly(3), 200, 1),
+], ids=["quad", "half-fix", "t1-d3"])
+def test_preper_search_computes_map_data_once(monkeypatch, f, bound, max_denominator):
+    # the escape radius and denominator bound are f's alone: one of each per
+    # search, and the census matches orbit run on every point by itself
+    cap = 4 * bound * max_denominator + 100
+    den_bound = preper_denominator_bound(f)
+    points = {
+        Fraction(p, q)
+        for q in range(1, max_denominator + 1) if den_bound % q == 0
+        for p in range(-bound * q, bound * q + 1)
+    }
+    expected = sorted(z for z in points if orbit(f, z, max_steps=cap).status == "periodic")
+
+    calls = []
+    to_monomial = BinomialPoly.to_monomial
+
+    def counting(self):
+        calls.append(self)
+        return to_monomial(self)
+
+    monkeypatch.setattr(BinomialPoly, "to_monomial", counting)
+    assert preper_search_rational(f, bound, max_denominator) == expected
+    assert len(calls) <= 2
+
+
 def test_preimage_count_quadratic():
     pc = preimage_count_exact(QUAD, 7)
     assert pc.total == 14

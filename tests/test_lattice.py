@@ -1,5 +1,6 @@
 """Binomial value lattice, exact integer LLL, and witness harvesting."""
 import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -395,6 +396,55 @@ def test_harvest_raises_on_corrupted_tail():
     corrupted = LatticeBasis(tuple(map(tuple, vecs)))
     with pytest.raises(LatticeInvariantError):
         harvest(corrupted)
+
+
+def test_harvest_raises_on_cancelling_corruption():
+    # a = s + 1 + 3*lin and b = -(1 + 3*lin) have spread 21, too wide to
+    # survive alone or with lin; their tail errors +1 and -1 cancel in the
+    # survivor a + b = s, whose own tail is consistent
+    ones, lin, s = lll_reduce(build_lattice(2, 6)).vectors
+    big = [x + 3 * y for x, y in zip(ones, lin)]
+    a = [x + y for x, y in zip(s, big)]
+    b = [-x for x in big]
+    a[-1] += 1
+    b[-1] -= 1
+    assert [x + y for x, y in zip(a, b)] == list(s)
+    with pytest.raises(LatticeInvariantError):
+        harvest(LatticeBasis((lin, tuple(a), tuple(b))))
+
+
+def test_harvest_checks_each_contributing_vector_once(monkeypatch):
+    # each basis vector is interpolated at most once, however many survivors
+    # it joins; every survivor beyond that costs O(d) additions
+    calls = []
+
+    def counting(values, start=0):
+        calls.append(start)
+        return interpolate(values, start)
+
+    monkeypatch.setattr(lattice, "interpolate", counting)
+    reduced = lll_reduce(build_lattice(12, 6))
+    witnesses = harvest(reduced)
+    assert witnesses
+    assert 1 <= len(calls) <= 12 + 1
+    monkeypatch.undo()
+    assert harvest(reduced) == witnesses
+
+
+@pytest.mark.parametrize("d,digest", [
+    (18, "0f469292a83e51e857eae5ceced52cc568c4a7e5c240c24b05e7db1e2cbb8c5a"),
+    (20, "fa96133e4e4edbd88828b6cce3069ff317ab3ebd38df6a5faea94d1f6c0b7414"),
+    (22, "27b690ebac1d20aad0b726bf8d285fa2477abdb1affb24dea88a8f39b33c667a"),
+    (24, "8bfe2cdbd2c5af4059ffff46f683de88baabb46b3174bfc69ac1721f659ca838"),
+    (26, "f8f879f41b246324c44c721565b66f1dbdd8b8c87e0efb02ca490563e7efc2c9"),
+    (28, "a1001c86e25bdb0166ca5044a73ef601cba541ac9caa02ad9529e5c46e481313"),
+])
+def test_harvest_golden_digest(d, digest):
+    # sha256 of the sorted witness JSON of a wide cold harvest; hundreds of
+    # survivors per basis, so one changed coefficient or value shows
+    ws = harvest(lll_reduce(build_lattice(d, 6)))
+    text = json.dumps([w.to_json() for w in ws], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("d,k", [(2, 6), (4, 6), (9, 10), (12, 8)])
