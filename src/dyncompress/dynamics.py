@@ -264,9 +264,12 @@ def preimage_count_exact(f: BinomialPoly, n: int) -> PreimageCount:
 
     f and f' are reduced once modulo a fixed prime.  A fiber whose images
     are coprime there has gcd 1 over Q too, so it counts d preimages with no
-    rational arithmetic (coprime_shifts_mod_p states the lemma).  Every other
-    fiber, ramified or not, takes the exact gcd over Q, so the result is a
-    certificate either way; exact_fibers says how many did.
+    rational arithmetic (coprime_shifts_mod_p states the lemma).  One Euclid
+    on f' and the product of all the fibers' images mod f' clears every
+    fiber at once when none shares a factor with f' mod p; otherwise the
+    set is bisected down to the fibers that do.  Every fiber left, ramified
+    or not, takes the exact gcd over Q, so the result is a certificate
+    either way; exact_fibers says how many did.
     """
     if f.degree < 2:
         raise ValueError("preimage counting needs degree >= 2")
@@ -325,9 +328,17 @@ DEPTH_DEGREE_CAP = 1 << 14
 
 
 def _poly_roots(coeffs_mpc, label: str):
-    """mp.polyroots wrapper with escalating precision and a clear error."""
+    """mp.polyroots wrapper with escalating precision and a clear error.
+
+    The ladder starts at 60 guard bits because a rung that cannot converge
+    costs all of its 200 Durand-Kerner steps.  At 10 guard bits the
+    corrections on the degree-8 squarefree part of f^3 - x for the record
+    quadratic never fall below the working eps, at any step budget, and
+    that one doomed call cost most of the T2 census.  60 bits converge on
+    every call of the censuses of the degree 2 and 3 records the tests pin.
+    """
     last_exc = None
-    for extra in (10, 60, 200):
+    for extra in (60, 200):
         try:
             return mp.polyroots(coeffs_mpc, maxsteps=200, extraprec=extra)
         except NoConvergence as exc:
@@ -378,9 +389,10 @@ def common_preper_depth_search(
 
     Enumerates, for 0 <= a <= max_pre and 1 <= c <= max_per, all complex
     roots of f^(a+c) - f^a.  Nesting makes that set equal to the a-fold
-    preimages of the short cycles, so roots are found by exact squarefree
-    root isolation of f^c - x followed by numerical preimage pulls, level by
-    level; candidates closer than tol are merged, which is all tol does.
+    preimages of the short cycles, so roots come from f^c - x (exact
+    squarefree part, numerical roots) followed by numerical preimage pulls,
+    level by level; candidates closer than tol are merged, which is all tol
+    does.
 
     A point is retained when its g-orbit stays inside g's escape radius R
     and, within 4*(max_pre + max_per) + 20 steps, revisits an earlier orbit
@@ -443,7 +455,7 @@ def common_preper_depth_search(
             points_c.append(zc)
             return True
 
-        # level 0: exact squarefree isolation of the short cycles of f
+        # level 0: the short cycles of f (exact squarefree part, numerical roots)
         comp = fm
         for c in range(1, max_per + 1):
             target = comp - RationalPoly.x()

@@ -502,6 +502,14 @@ def coprime_shifts_mod_p(
     therefore a proof of coprimality over Q.  A False entry proves nothing:
     p divides a denominator or a leading coefficient, or the images share a
     factor, possibly one that exists only mod p.  Decide those exactly.
+
+    One Euclid decides a whole set S of shifts.  With r = f mod g in F_p[x],
+    f - c = r - c mod g, and over a field gcd(prod (r - c), g) = 1 exactly
+    when every gcd(r - c, g) = 1.  The product over S is formed in
+    F_p[x]/(g) by the matrix of multiplication by r, one matrix-vector
+    product per shift.  A set that fails is bisected down to its single
+    shifts, whose test is the per-fiber Euclid, so each entry is the
+    answer that Euclid on f - c and g alone gives.
     """
     if f.degree < 1 or not g.coeffs:
         raise ValueError("need deg f >= 1 and g nonzero")
@@ -509,11 +517,51 @@ def coprime_shifts_mod_p(
     fa, gb = _image_mod(f, p), _image_mod(g, p)
     if fa is None or gb is None:
         return [False] * len(shifts)
-    out = []
-    for c in shifts:
-        shifted = list(fa)
-        shifted[-1] = (shifted[-1] - c) % p
-        out.append(_coprime_mod(shifted, gb, p))
+    m = len(gb) - 1
+    if m == 0:
+        return [True] * len(shifts)  # a unit is coprime to everything
+    inv = pow(gb[0], -1, p)
+    # x^m = -sum tail[i] x^i mod g; residues mod g are lowest degree first
+    tail = [c * inv % p for c in reversed(gb[1:])]
+
+    def times_x(v):
+        top = v[-1]
+        return [(a - top * t) % p for a, t in zip([0, *v[:-1]], tail)]
+
+    r = [0] * m
+    for c in fa:  # Horner: r = f mod g
+        r = times_x(r)
+        r[0] = (r[0] + c) % p
+    cols = [r]
+    for _ in range(m - 1):
+        cols.append(times_x(cols[-1]))
+    rows = list(zip(*cols))  # row i of the matrix of multiplication by r
+    out = [True] * len(shifts)
+
+    def coprime(lo, hi):
+        h = [1] + [0] * (m - 1)
+        for c in shifts[lo:hi]:
+            h = [
+                (sum(map(operator.mul, row, h)) - c * v) % p
+                for row, v in zip(rows, h)
+            ]
+        while h and h[-1] == 0:
+            h.pop()
+        return bool(h) and _coprime_mod(gb, h[::-1], p)
+
+    failing = [(0, len(shifts))] if shifts and not coprime(0, len(shifts)) else []
+    while failing:  # bisect each set known to fail
+        lo, hi = failing.pop()
+        if hi - lo == 1:
+            out[lo] = False
+            continue
+        mid = (lo + hi) // 2
+        if coprime(lo, mid):
+            failing.append((mid, hi))
+            continue
+        failing.append((lo, mid))
+        if not coprime(mid, hi):
+            failing.append((mid, hi))
     return out
 
 

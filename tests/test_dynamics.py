@@ -351,13 +351,14 @@ def test_preimage_count_unlucky_prime_cases(monkeypatch):
 
 
 def test_common_bound_reach_needs_no_exact_gcd(monkeypatch):
-    # every fiber of r_60 and r_80 is cleared mod p, so no exact gcd runs;
-    # with one exact gcd per fiber these two were the slow end of the family
+    # every fiber of r_2..r_40, r_60 and r_80 is cleared mod p, so no exact
+    # gcd runs; with one exact gcd per fiber r_60 and r_80 were the slow end
+    # of the family
     def exact_gcd_taken(*args):
         raise AssertionError("exact gcd fallback taken")
 
     monkeypatch.setattr(dynamics, "poly_gcd", exact_gcd_taken)
-    for d in (60, 80):
+    for d in (*range(2, 41), 60, 80):
         n = d + 5 if d % 2 == 0 else d + 4
         cb = common_preper_bound(compressing_poly_binomial(d), d + 6, n)
         assert cb.count == d * n
@@ -500,8 +501,29 @@ def test_depth_search_escalates_root_finding_precision(monkeypatch):
     monkeypatch.setattr(dynamics.mp, "polyroots", late)
     rep = common_preper_depth_search(QUAD, QUAD + 1, 2, 3)
     assert (rep.count, rep.per_level) == (18, (10, 10, 20))
-    # every call escalates 10 -> 60 -> 200
-    assert tried and tried == [10, 60, 200] * (len(tried) // 3)
+    # every call escalates 60 -> 200
+    assert tried and tried == [60, 200] * (len(tried) // 2)
+
+
+def test_depth_search_takes_no_failed_root_finding_rung(monkeypatch):
+    # a rung that cannot converge costs its whole step budget; at T2's
+    # depth (4, 3) and at (4, 4) the first rung converges on every call
+    real = dynamics.mp.polyroots
+    calls, failed = [], []
+
+    def counting(coeffs, maxsteps, extraprec):
+        calls.append(extraprec)
+        try:
+            return real(coeffs, maxsteps=maxsteps, extraprec=extraprec)
+        except NoConvergence:
+            failed.append((len(coeffs) - 1, extraprec))
+            raise
+
+    monkeypatch.setattr(dynamics.mp, "polyroots", counting)
+    for max_pre, max_per in ((4, 3), (4, 4)):
+        assert common_preper_depth_search(QUAD, QUAD + 1, max_pre, max_per).count == 26
+    assert len(calls) == 83 + 180
+    assert failed == []
 
 
 def test_depth_search_raises_when_root_finding_never_converges(monkeypatch):
@@ -514,7 +536,7 @@ def test_depth_search_raises_when_root_finding_never_converges(monkeypatch):
     monkeypatch.setattr(dynamics.mp, "polyroots", never)
     with pytest.raises(RootFindingError, match="cycle length 1") as info:
         common_preper_depth_search(QUAD, QUAD + 1, 0, 1)
-    assert tried == [10, 60, 200]
+    assert tried == [60, 200]
     assert isinstance(info.value.__cause__, NoConvergence)
 
 

@@ -1,7 +1,9 @@
 """Exact polynomial arithmetic: binomial basis, interpolation, gcd, wire format."""
 import json
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -236,6 +238,10 @@ def test_coprime_shifts_mod_p():
     x = RationalPoly.x()
     f = x * x  # f - c and f' = 2x share the root 0 only at c = 0
     assert coprime_shifts_mod_p(f, f.derivative(), [0, 1, -3]) == [False, True, True]
+    assert coprime_shifts_mod_p(f, f.derivative(), []) == []
+    assert coprime_shifts_mod_p(f, f.derivative(), [0, 0, 1, 1, 0]) == [False, False, True, True, False]
+    # a nonzero constant g is a unit mod p
+    assert coprime_shifts_mod_p(f, RationalPoly.one().scale(3), [0, 5]) == [True, True]
     g = (x - 1) * (x + 2)
     assert coprime_shifts_mod_p(g, x - 1, [0, 1]) == [False, True]
     with pytest.raises(ValueError):
@@ -251,6 +257,10 @@ def test_coprime_shifts_mod_p_without_an_image(monkeypatch):
     assert coprime_shifts_mod_p(x * x, x.scale(Fraction(1, 2)), [1, 2]) == [False, False]
     assert coprime_shifts_mod_p(x * x, x.scale(2) + 1, [1]) == [False]
     assert coprime_shifts_mod_p(x * x, x + 1, [1, 2]) == [False, True]
+    # mod 3 the constant 3 vanishes, and shifts congruent mod 3 agree
+    monkeypatch.setattr(polynomials, "_PRIME", 3)
+    assert coprime_shifts_mod_p(x * x, RationalPoly.one().scale(3), [0, 5]) == [False, False]
+    assert coprime_shifts_mod_p(x * x, x, [0, 3, -3, 1, 4, -2]) == [False] * 3 + [True] * 3
 
 
 small_rational_polys = st.lists(
@@ -309,6 +319,75 @@ def test_coprime_mod_matches_monic_euclid(case):
     a[0] = a[0] or 1
     b[0] = b[0] or 1
     assert polynomials._coprime_mod(a, b, p) == coprime_mod_monic(a, b, p)
+
+
+def image_mod(f, p):
+    """f modulo p, highest degree first; None when p kills a denominator or the lead."""
+    out = []
+    for c in reversed(f.coeffs):
+        if c.denominator % p == 0:
+            return None
+        out.append(c.numerator * pow(c.denominator, -1, p) % p)
+    return out if out[0] else None
+
+
+def coprime_shifts_by_monic_euclid(f, g, shifts, p):
+    """coprime_shifts_mod_p's reference: one monic Euclid on f - c and g per shift."""
+    fa, gb = image_mod(f, p), image_mod(g, p)
+    if fa is None or gb is None:
+        return [False] * len(shifts)
+    return [coprime_mod_monic(fa[:-1] + [(fa[-1] - c) % p], gb, p) for c in shifts]
+
+
+@kernel_settings
+@given(
+    p=st.sampled_from([2, 3, 7, 2**61 - 1]),
+    f=small_rational_polys.filter(lambda f: f.degree >= 1),
+    g=st.lists(
+        st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)), min_size=1, max_size=11
+    ).map(lambda cs: RationalPoly(tuple(cs))).filter(lambda g: bool(g.coeffs)),
+    shifts=st.lists(
+        st.one_of(small_ints, st.integers(-(2**64), 2**64), st.sampled_from([0, 1, 7])),
+        max_size=12,
+    ),
+)
+@example(p=7, f=RationalPoly.x() * RationalPoly.x(), g=RationalPoly.x().scale(2),
+         shifts=[0, 0, 7, -7, 1, 8, 15])
+def test_coprime_shifts_mod_p_matches_per_shift_euclid(p, f, g, shifts):
+    # g may be constant or of degree >= deg f; shifts repeat, go negative or past p
+    with mock.patch.object(polynomials, "_PRIME", p):
+        got = coprime_shifts_mod_p(f, g, shifts)
+    assert got == coprime_shifts_by_monic_euclid(f, g, shifts, p)
+
+
+@pytest.mark.parametrize("position", [0, 8, 16])
+def test_coprime_shifts_mod_p_bisects_to_one_ramified_fiber(monkeypatch, position):
+    # f = (x - 2)^2 (x^2 + x + 5) + 4 over the 17 fibers 1..17: only f - 4
+    # shares a root with f' (checked by the reference), placed first, in the
+    # middle or last so that each edge of the bisection runs
+    x = RationalPoly.x()
+    f = (x - 2) * (x - 2) * (x * x + x + 5) + 4
+    g = f.derivative()
+    shifts = [q for q in range(1, 18) if q != 4]
+    shifts.insert(position, 4)
+    expected = coprime_shifts_by_monic_euclid(f, g, shifts, 2**61 - 1)
+    assert expected.count(False) == 1 and expected.index(False) == position
+
+    calls = []
+    real = polynomials._coprime_mod
+
+    def counting(a, b, p):
+        calls.append(b)
+        return real(a, b, p)
+
+    monkeypatch.setattr(polynomials, "_coprime_mod", counting)
+    assert coprime_shifts_mod_p(f, g, shifts) == expected
+    # one Euclid per set tested: the whole set, then at most two per halving
+    assert len(calls) <= 1 + 2 * math.ceil(math.log2(len(shifts)))
+    calls.clear()
+    clear = [q for q in shifts if q != 4]
+    assert coprime_shifts_mod_p(f, g, clear) == [True] * len(clear)
+    assert len(calls) == 1
 
 
 def test_squarefree_part():
