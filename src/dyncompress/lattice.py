@@ -17,22 +17,29 @@ gradual feeding of van Hoeij's knapsack factoring (J. Number Theory 2002)
 and of Novocin, Stehle and Villard (STOC 2011).  build_lattice gives the
 same lattices from their generators, as the reference.
 
+lll_reduce stores each basis row as one int, its entries in fixed-width
+slots (Kronecker packing), so a size reduction is one big-integer
+multiply-subtract; the Gram data, and so every decision, are unchanged.
+
 Harvest keeps a combination only when its spread, max - min, is at most
 width - 1, since only then does a shift put its values in [1, width].  The
-spread is a seminorm, so spread(a +- b) >= |spread(a) - spread(b)|, and a
-pair whose spreads differ by more than width - 1 is skipped without building
-anything.  Interpolation is linear, so a survivor's binomial coefficients
-are the sum or difference of its basis vectors' coefficients, with its
-constant shift added to the C(x, 0) one.  Each basis vector that joins a
-deduplicated survivor is interpolated once, and its tail is checked against
-that interpolation then; after that a survivor costs O(d) additions.
+spread of a +- b is at least its difference between the coordinates where a
+(or b) is largest and smallest, so a sum or difference is skipped in O(1)
+when either reading exceeds width - 1.  Interpolation is linear, so a
+survivor's binomial coefficients are the sum or difference of its basis
+vectors' coefficients, with its constant shift added to the C(x, 0) one.
+Each basis vector that joins a deduplicated survivor is interpolated once,
+and its tail is checked against that interpolation then; after that a
+survivor costs O(d) additions.
 """
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import comb
-from operator import mul
+from operator import add, lshift, mul, sub
 
 from .compression import CompressionWitness
 from .polynomials import BinomialPoly, binomial, interpolate
@@ -105,6 +112,46 @@ def check_delta(delta) -> Fraction:
     return delta
 
 
+def _slot_words(bound: int) -> int:
+    """64-bit words per packed slot that hold any entry of absolute value <= bound."""
+    return bound.bit_length() // 64 + 1
+
+
+def _layout(words: int, width: int) -> tuple[struct.Struct, int]:
+    """The struct reading width slots of 64*words bits, and 2^(S-1) in every slot."""
+    s = 64 * words
+    half = ((1 << s * width) - 1) // ((1 << s) - 1) << (s - 1)
+    return struct.Struct("<" + ("Q" * (words - 1) + "q") * width), half
+
+
+def _pack(entries, words: int) -> int:
+    """Kronecker packing: sum of entry t * 2^(S*t) for slots of S = 64*words bits."""
+    return sum(c << (64 * words * t) for t, c in enumerate(entries))
+
+
+def _unpack(row: int, bound: int, words: int, fmt: struct.Struct, half: int) -> tuple:
+    """The entries of a packed row and their largest absolute value.
+
+    Adding 2^(S-1) to every slot leaves each one in [0, 2^S) with no borrow,
+    and the xor then flips each slot's top bit, which gives its entry in S-bit
+    two's complement.  That holds while |entry| <= bound < 2^(S-1), so this
+    raises LatticeInvariantError when the bound has reached the sign bit,
+    the row leaves its slots, or an entry exceeds the bound.
+    """
+    x = (row + half) ^ half
+    if bound >> (64 * words - 1) or x >> 8 * fmt.size:
+        raise LatticeInvariantError("packed LLL row overflowed its slots")
+    parts = fmt.unpack(x.to_bytes(fmt.size, "little"))
+    v = parts[words - 1::words]
+    for u in range(words - 2, -1, -1):
+        v = map(add, map(lshift, v, repeat(64)), parts[u::words])
+    v = tuple(v)
+    top = max(map(abs, v), default=0)
+    if top > bound:
+        raise LatticeInvariantError("packed LLL entry exceeds its row's bound")
+    return v, top
+
+
 def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> LatticeBasis:
     """Exact LLL reduction of an integer basis.
 
@@ -113,28 +160,61 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
     q*(d_i*d_{i-2} + lambda^2) >= p*d_{i-1}^2 for delta = p/q is exact.
     Output is size-reduced (|mu| <= 1/2) and satisfies the Lovász condition
     at the given delta; both are re-checkable by rational Gram-Schmidt.
+
+    Row i is stored as the int sum of b_i[t] * 2^(S*t), S a multiple of 64
+    fitted to the input's largest entry, with max |b_i[t]| <= bound[i] <
+    2^(S-1): every slot then holds its entry exactly, and b_i -= r*b_j is one
+    multiply-subtract, after which bound[i] grows by |r|*bound[j].  Should it
+    reach 2^(S-1), all rows are first unpacked, which makes their bounds
+    exact, and repacked in slots wide enough.  Rows are unpacked, and checked against
+    their bounds, only for init_row's inner products and for the result.
+    dd and lam, and so every decision, are those of the list-based algorithm.
     """
     delta = check_delta(delta)
     p, q = delta.numerator, delta.denominator
 
-    b = [list(v) for v in basis.vectors]
-    n = len(b)
+    rows = basis.vectors
+    n, width = len(rows), len(rows[0])
+    # packed rows b, their bounds, and their entries until the row changes
+    bound = [max(map(abs, v), default=0) for v in rows]
+    words = _slot_words(max(bound))
+    fmt, half = _layout(words, width)
+    b = [_pack(v, words) for v in rows]
+    vals = list(rows)
     # dd[i+1] = det Gram(b_0..b_i); dd[0] = 1 sentinel
     dd = [0] * (n + 1)
     dd[0] = 1
     lam = [[0] * n for _ in range(n)]
 
+    def entries(i):
+        if vals[i] is None:
+            vals[i], bound[i] = _unpack(b[i], bound[i], words, fmt, half)
+        return vals[i]
+
     def red(i, j):
         # size-reduce b_i against b_j (j < i); the caller has seen 2|lam[i][j]| > d_j
+        nonlocal words, fmt, half
         li, lj, dj = lam[i], lam[j], dd[j + 1]
         r = _round_quotient(li[j], dj)
-        b[i] = [x - r * y for x, y in zip(b[i], b[j])]
+        grown = bound[i] + abs(r) * bound[j]
+        if grown >> (64 * words - 1):
+            # the result could reach a slot's sign bit: tighten every bound by
+            # unpacking, then repack all rows in slots wide enough for it
+            unpacked = [entries(t) for t in range(n)]
+            grown = bound[i] + abs(r) * bound[j]
+            words = _slot_words(max(grown, *bound))
+            fmt, half = _layout(words, width)
+            b[:] = [_pack(v, words) for v in unpacked]
+        b[i] -= r * b[j]
+        bound[i], vals[i] = grown, None
         li[j] -= r * dj
         for t in range(j):
             li[t] -= r * lj[t]
 
     def swap(i, kmax):
         b[i], b[i - 1] = b[i - 1], b[i]
+        bound[i], bound[i - 1] = bound[i - 1], bound[i]
+        vals[i], vals[i - 1] = vals[i - 1], vals[i]
         li, lh = lam[i], lam[i - 1]
         li[: i - 1], lh[: i - 1] = lh[: i - 1], li[: i - 1]
         lam_val = li[i - 1]
@@ -149,9 +229,9 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
 
     def init_row(i):
         # fill lam[i][0..i-1] and dd[i+1] from exact inner products
-        bi, li = b[i], lam[i]
+        bi, li = entries(i), lam[i]
         for j in range(i + 1):
-            u = sum(map(mul, bi, b[j]))
+            u = sum(map(mul, bi, entries(j)))
             lj = lam[j]
             for t in range(j):
                 u = _exact_quotient(dd[t + 1] * u - li[t] * lj[t], dd[t])
@@ -181,7 +261,7 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
                     red(i, j)
             i += 1
 
-    return LatticeBasis(tuple(map(tuple, b)))
+    return LatticeBasis(tuple(entries(t) for t in range(n)))
 
 
 def lll_chain(d: int, top: int, delta: Fraction = CHAIN_DELTA) -> tuple[LatticeBasis, ...]:
@@ -225,11 +305,13 @@ def harvest(reduced: LatticeBasis) -> list[CompressionWitness]:
     interpolating polynomial has degree >= 2.
 
     n stays within d+k exactly when the spread max - min is at most d+k-1.
-    Spread is a seminorm (spread(-v) = spread(v), and spread(a + b) <=
-    spread(a) + spread(b)), so spread(a +- b) >= |spread(a) - spread(b)|:
-    a pair whose spreads differ by more than d+k-1 costs one comparison.
-    Any other pair builds a + b and a - b, O(d + k) additions each, and a
-    negation is formed only for a combination whose spread passes.
+    For s, t the positions of a's largest and smallest entries, spread(a +- b)
+    >= |(a +- b)[s] - (a +- b)[t]| = |spread(a) +- (b[s] - b[t])|, and the
+    same holds at b's.  A sign whose two readings do not both fit costs O(1),
+    and since |b[s] - b[t]| <= spread(b), this also skips every pair whose
+    spreads differ by more than d+k-1.  Any other a + b or a - b is built,
+    O(d + k) additions, and a negation is formed only for a combination
+    whose spread passes.
 
     Survivors are deduplicated on the shifted value vector, and only then is
     a polynomial built.  Interpolation is linear, so a survivor +-(a +- b)
@@ -257,18 +339,22 @@ def harvest(reduced: LatticeBasis) -> list[CompressionWitness]:
         raise ValueError("reduced basis is not a binomial value lattice")
 
     limit = width - 1
-    spreads = [max(v) - min(v) for v in vecs]
+    # each vector's argmax and argmin, and its spread
+    ends = [(v.index(max(v)), v.index(min(v))) for v in vecs]
+    spreads = [v[s] - v[t] for v, (s, t) in zip(vecs, ends)]
     # a survivor w = a + sign * b, or w = a when b is None
     short = [(v, a, None, 1) for a, (v, s) in enumerate(zip(vecs, spreads)) if s <= limit]
-    for a, (va, sa) in enumerate(zip(vecs, spreads)):
+    for a, (va, sa, (ha, la)) in enumerate(zip(vecs, spreads, ends)):
         for b in range(a + 1, d + 1):
-            vb = vecs[b]
-            if abs(sa - spreads[b]) > limit:
-                continue
-            for sign, w in ((1, [x + y for x, y in zip(va, vb)]),
-                            (-1, [x - y for x, y in zip(va, vb)])):
-                if max(w) - min(w) <= limit:
-                    short.append((w, a, b, sign))
+            vb, sb, (hb, lb) = vecs[b], spreads[b], ends[b]
+            # spread(a +- b) >= |(a +- b)[s] - (a +- b)[t]| at the argmax and
+            # argmin s, t of a, and at those of b
+            gb, ga = vb[ha] - vb[la], va[hb] - va[lb]
+            for sign, op in ((1, add), (-1, sub)):
+                if abs(sa + sign * gb) <= limit >= abs(ga + sign * sb):
+                    w = list(map(op, va, vb))
+                    if max(w) - min(w) <= limit:
+                        short.append((w, a, b, sign))
 
     basis_coeffs = [None] * (d + 1)
 

@@ -164,9 +164,12 @@ def test_lll_output_is_lll_reduced(d, k, delta):
 
 @st.composite
 def full_rank_bases(draw, max_rank=5):
+    # entries near 2^62 make size reductions widen lll_reduce's 64-bit slots,
+    # and entries up to 2^100 start it on two-word slots
     rank = draw(st.integers(1, max_rank))
     width = draw(st.integers(rank, rank + 2))
-    entry = st.integers(-60, 60)
+    cap = draw(st.sampled_from((60, 2**62, 2**100)))
+    entry = st.integers(-cap, cap)
     rows = draw(st.lists(st.tuples(*[entry] * width), min_size=rank, max_size=rank))
     assume(_det([[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]) != 0)
     return LatticeBasis(tuple(rows))
@@ -254,6 +257,43 @@ deltas = st.fractions(Fraction(1, 4), Fraction(1), max_denominator=1000).filter(
 @given(full_rank_bases(max_rank=6), deltas)
 def test_lll_reduce_matches_reference_loop(basis, delta):
     assert lll_reduce(basis, delta).vectors == lll_reduce_reference(basis, delta)
+
+
+def test_lll_reduce_widens_slots_in_mid_run(monkeypatch):
+    # every entry is below 2^63, so lll_reduce starts on one-word slots; a
+    # size reduction takes an entry of the reference run to 13 * 2^60 > 2^63
+    # and the rows are repacked in two-word slots before it
+    small = ((1, 0, -4, -5, 6), (2, -1, -6, -3, -4), (3, -2, 2, -4, -5), (-4, 5, 5, 6, 0))
+    basis = LatticeBasis(tuple(tuple(x << 60 for x in v) for v in small))
+    assert max(abs(x) for v in basis.vectors for x in v) < 2**63
+    words = []
+    layout = lattice._layout
+
+    def recording(w, width):
+        words.append(w)
+        return layout(w, width)
+
+    monkeypatch.setattr(lattice, "_layout", recording)
+    delta = Fraction(3, 4)
+    assert lll_reduce(basis, delta).vectors == lll_reduce_reference(basis, delta)
+    assert words[0] == 1 and max(words) == 2
+
+
+def test_packed_row_overflow_raises():
+    # a slot past its sign bit decodes next to the other end of its range,
+    # above the row's bound; a last slot past it leaves the packed width
+    fmt, half = lattice._layout(1, 3)
+    row = lattice._pack((5, -2**62, 7), 1)
+    assert lattice._unpack(row, 2**62, 1, fmt, half) == ((5, -2**62, 7), 2**62)
+    wide_fmt, wide_half = lattice._layout(2, 3)
+    wide = lattice._pack((5, -2**100, 2**63), 2)
+    assert lattice._unpack(wide, 2**100, 2, wide_fmt, wide_half) == ((5, -2**100, 2**63), 2**100)
+    for entries in ((5, 2**63, 7), (5, -2**63 - 1, 7), (5, 7, 2**63), (5, 7, -2**63 - 1)):
+        with pytest.raises(LatticeInvariantError):
+            lattice._unpack(lattice._pack(entries, 1), 2**62, 1, fmt, half)
+    # a bound at the sign bit no longer proves that the slots hold the entries
+    with pytest.raises(LatticeInvariantError):
+        lattice._unpack(row, 2**63, 1, fmt, half)
 
 
 def _extend(reduced: LatticeBasis, d: int) -> LatticeBasis:
@@ -530,12 +570,15 @@ def spread(v):
     lambda n: st.tuples(*[st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n)] * 2)
 ))
 def test_spread_gap_bounds_sums_and_differences(pair):
-    # spread is a seminorm, so spread(a +- b) >= |spread(a) - spread(b)|
+    # spread is a seminorm, so spread(a +- b) >= |spread(a) - spread(b)|;
+    # harvest's screen reads |(a +- b)[s] - (a +- b)[t]| at the argmax s and
+    # argmin t of a, and of b; the larger of the two is at least that gap
     a, b = pair
     gap = abs(spread(a) - spread(b))
     assert spread([-x for x in a]) == spread(a)
-    assert spread([x + y for x, y in zip(a, b)]) >= gap
-    assert spread([x - y for x, y in zip(a, b)]) >= gap
+    for w in ([x + y for x, y in zip(a, b)], [x - y for x, y in zip(a, b)]):
+        at_ends = [abs(w[v.index(max(v))] - w[v.index(min(v))]) for v in (a, b)]
+        assert spread(w) >= max(at_ends) >= gap
 
 
 def test_harvest_deterministic():
