@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -22,8 +21,7 @@ from .dynamics import (
     preimage_count_exact,
 )
 from .families import compressing_poly_binomial
-from .geometry import minkowski_check, precision_override
-from .lattice import CHAIN_DELTA
+from .geometry import minkowski_check
 from .polynomials import BinomialPoly, RationalPoly, poly_from_json, poly_to_json, to_binomial
 from .sweep import default_k_schedule, search_widths, sweep_to_file
 from .tables import verify_tables
@@ -54,18 +52,6 @@ def _load_integer_valued(path: str) -> BinomialPoly:
         return to_binomial(f) if isinstance(f, RationalPoly) else f
     except ValueError as exc:
         raise click.UsageError(f"bad polynomial object: {exc}")
-
-
-def _parse_delta(text: str | None) -> Fraction:
-    if text is None:
-        return CHAIN_DELTA
-    try:
-        delta = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise click.UsageError(f"--delta must be a fraction P/Q, got {text!r}")
-    if not Fraction(1, 4) < delta < 1:
-        raise click.UsageError(f"--delta must lie strictly between 1/4 and 1, got {delta}")
-    return delta
 
 
 @click.group()
@@ -111,16 +97,14 @@ def verify(poly_path: str, m: int, n: int):
 @main.command()
 @click.option("--degree", "-d", type=int, required=True)
 @click.option("--k", type=int, default=None, help="extension width; defaults to a descending schedule")
-@click.option("--delta", default=None, help="LLL parameter as a fraction P/Q in (1/4, 1); default 99/100")
-def search(degree: int, k: int | None, delta: str | None):
+def search(degree: int, k: int | None):
     """Lattice-search degree-d witnesses at the first k that has any; emits a JSON list."""
     if degree < 2:
         raise click.UsageError(f"--degree must be at least 2, got {degree}")
-    dlt = _parse_delta(delta)
     if k is not None and k < 1:
         raise click.UsageError(f"--k must be at least 1, got {k}")
     schedule = default_k_schedule(degree) if k is None else (k,)
-    _, witnesses, _ = list(search_widths(degree, schedule, dlt))[-1]
+    _, witnesses, _ = list(search_widths(degree, schedule))[-1]
     _echo_json([w.to_json() for w in witnesses])
 
 
@@ -129,9 +113,8 @@ def search(degree: int, k: int | None, delta: str | None):
 @click.option("--to", "d_to", type=int, required=True)
 @click.option("--k-max", type=int, default=None)
 @click.option("--jobs", type=int, default=1)
-@click.option("--delta", default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
-def sweep(d_from: int, d_to: int, k_max: int | None, jobs: int, delta: str | None, out_path: str):
+def sweep(d_from: int, d_to: int, k_max: int | None, jobs: int, out_path: str):
     """Sweep degrees, appending one JSONL record per (d, k) attempt."""
     if not 2 <= d_from <= d_to:
         raise click.UsageError(f"need 2 <= --from <= --to, got {d_from}..{d_to}")
@@ -139,7 +122,7 @@ def sweep(d_from: int, d_to: int, k_max: int | None, jobs: int, delta: str | Non
         raise click.UsageError(f"--k-max must be at least 2, got {k_max}")
     if jobs < 1:
         raise click.UsageError(f"--jobs must be at least 1, got {jobs}")
-    written = sweep_to_file(out_path, d_from, d_to, k_max, jobs, _parse_delta(delta))
+    written = sweep_to_file(out_path, d_from, d_to, k_max, jobs)
     found = sum(1 for r in written if r.found)
     _echo_json({"out": str(Path(out_path)), "records": len(written), "found": found})
 
@@ -151,10 +134,6 @@ def sweep(d_from: int, d_to: int, k_max: int | None, jobs: int, delta: str | Non
 @click.option("--k", type=int, default=None, help="override the default extension width")
 def volume(degree: int, ell: int, precision: int | None, k: int | None):
     """Ellipsoid volume versus the lattice packing threshold."""
-    if degree < 2:
-        raise click.UsageError(f"--degree must be at least 2, got {degree}")
-    if ell < 2:
-        raise click.UsageError(f"--ell must be at least 2, got {ell}")
     try:
         report = minkowski_check(degree, ell, precision_bits=precision, k=k)
     except ValueError as exc:
@@ -168,8 +147,6 @@ def volume(degree: int, ell: int, precision: int | None, k: int | None):
 def preimage_count(poly_path: str, n: int):
     """Exact count of preimages of [n] under f, with ramification deficit."""
     f = _load_integer_valued(poly_path)
-    if n < 1:
-        raise click.UsageError(f"--n must be at least 1, got {n}")
     try:
         rep = preimage_count_exact(f, n)
     except ValueError as exc:
@@ -203,20 +180,16 @@ def common(poly_path: str, m: int, n: int):
 @click.option("--shift", type=int, required=True)
 @click.option("--max-pre", type=int, default=2)
 @click.option("--max-per", type=int, default=3)
-@click.option("--precision", type=int, default=None)
+@click.option("--precision", type=int, default=128)
 @click.option("--tol", type=float, default=1e-20)
 def common_depth(poly_path: str, shift: int, max_pre: int, max_per: int,
-                 precision: int | None, tol: float):
+                 precision: int, tol: float):
     """Numerically count common preperiodic points of f and f + shift."""
     f = _load_integer_valued(poly_path)
-    if max_pre < 0 or max_per < 1:
-        raise click.UsageError(
-            f"need --max-pre >= 0 and --max-per >= 1, got {max_pre}, {max_per}"
-        )
     try:
         report = common_preper_depth_search(
             f, f + shift, max_pre=max_pre, max_per=max_per,
-            precision_bits=precision_override(precision) or 128, tol=tol,
+            precision_bits=precision, tol=tol,
         )
     except (OrbitUndecided, RootFindingError) as exc:
         _echo_json({"error": str(exc)})

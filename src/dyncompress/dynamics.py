@@ -419,6 +419,8 @@ def common_preper_depth_search(
         raise ValueError("depth search needs degree >= 2 on both maps")
     if max_pre < 0 or max_per < 1:
         raise ValueError("need max_pre >= 0 and max_per >= 1")
+    if precision_bits < 64:
+        raise ValueError(f"precision must be at least 64 bits, got {precision_bits}")
     if f.degree ** (max_pre + max_per) > DEPTH_DEGREE_CAP:
         raise ValueError(
             f"iterate degree {f.degree ** (max_pre + max_per)} exceeds the "

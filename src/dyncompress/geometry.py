@@ -11,13 +11,10 @@ floating point on top of exact integer matrices.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import mpmath as mp
-
-PRECISION_ENV = "DYNCOMPRESS_PRECISION_BITS"
 
 
 @dataclass(frozen=True)
@@ -111,29 +108,13 @@ def build_interpolation_matrix(d: int, k: int) -> InterpolationMatrix:
     return InterpolationMatrix(d=d, k=k, entries=tuple(rows))
 
 
-def precision_override(precision_bits: Optional[int]) -> Optional[int]:
-    """Explicit argument, else the DYNCOMPRESS_PRECISION_BITS value, else None.
-
-    An empty environment variable counts as unset.  Raises ValueError when
-    the environment value is not an integer or the chosen value is below 64.
-    """
+def resolve_precision(precision_bits: Optional[int], d: int, k: int) -> int:
+    """precision_bits if given, else max(64, 2*(d+k)); ValueError below 64."""
     if precision_bits is None:
-        env = os.environ.get(PRECISION_ENV)
-        if not env:
-            return None
-        try:
-            precision_bits = int(env)
-        except ValueError:
-            raise ValueError(f"{PRECISION_ENV} must be an integer, got {env!r}")
+        return max(64, 2 * (d + k))
     if precision_bits < 64:
         raise ValueError(f"precision must be at least 64 bits, got {precision_bits}")
     return precision_bits
-
-
-def resolve_precision(precision_bits: Optional[int], d: int, k: int) -> int:
-    """precision_override(precision_bits), else max(64, 2*(d+k)) bits."""
-    bits = precision_override(precision_bits)
-    return max(64, 2 * (d + k)) if bits is None else bits
 
 
 def _gram_eigenvalues(rows: Sequence[Sequence[int]], prec_bits: int) -> list:
@@ -267,9 +248,6 @@ def minkowski_check(
             )
     if k < 2:
         raise ValueError("k must be at least 2")
-    if ell > k:
-        # the unchecked variant still needs a well-formed ellipsoid
-        raise ValueError("ell must not exceed k")
     prec = resolve_precision(precision_bits, d, k)
     spec = build_ellipsoid(d, k, ell, prec)
     with mp.workprec(prec):

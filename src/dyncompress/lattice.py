@@ -104,7 +104,7 @@ def _exact_quotient(num: int, den: int) -> int:
     return q
 
 
-def check_delta(delta) -> Fraction:
+def _check_delta(delta) -> Fraction:
     """delta as a Fraction; ValueError unless 1/4 < delta < 1."""
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
@@ -170,7 +170,7 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
     their bounds, only for init_row's inner products and for the result.
     dd and lam, and so every decision, are those of the list-based algorithm.
     """
-    delta = check_delta(delta)
+    delta = _check_delta(delta)
     p, q = delta.numerator, delta.denominator
 
     rows = basis.vectors
@@ -282,7 +282,7 @@ def lll_chain(d: int, top: int, delta: Fraction = CHAIN_DELTA) -> tuple[LatticeB
         raise ValueError("d must be at least 2")
     if top < 1:
         raise ValueError("k must be at least 1")
-    delta = check_delta(delta)
+    delta = _check_delta(delta)
     weights = [(-1) ** (d - j) * comb(d + 1, j) for j in range(d + 1)]
     identity = tuple(tuple(int(i == j) for j in range(d + 1)) for i in range(d + 1))
     chain = [LatticeBasis(identity)]

@@ -16,14 +16,13 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import groupby, repeat
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .compression import CompressionWitness, check_window
 # lll_reduce stays bound here: perfbench's tracer test reads sweep.lll_reduce.
-from .lattice import CHAIN_DELTA, check_delta, harvest, lll_chain, lll_reduce  # noqa: F401
+from .lattice import harvest, lll_chain, lll_reduce  # noqa: F401
 from .polynomials import BinomialPoly
 
 
@@ -89,15 +88,13 @@ def verify_record(rec: SweepRecord) -> bool:
 
 
 def search_widths(
-    d: int,
-    schedule: Iterable[int],
-    delta: Fraction = CHAIN_DELTA,
+    d: int, schedule: Iterable[int]
 ) -> Iterator[tuple[int, list[CompressionWitness], int]]:
     """Harvest the warm chain at each k in schedule order, up to the first find.
 
     Yields (k, witnesses, elapsed_ms) per attempted width, witnesses in
     harvest's order.  Before any work it raises ValueError for an empty
-    schedule, a width below 1, d < 2 or delta outside (1/4, 1); after that
+    schedule, a width below 1 or d < 2; after that
     every exception, such as LatticeInvariantError, propagates.  The chain
     is built to max(schedule) before the first attempt, whose elapsed_ms
     therefore includes it.
@@ -106,7 +103,7 @@ def search_widths(
     if not schedule or min(schedule) < 1:
         raise ValueError(f"schedule needs one or more widths k >= 1, got {schedule}")
     t0 = time.perf_counter()
-    chain = lll_chain(d, max(schedule), delta)
+    chain = lll_chain(d, max(schedule))
     for k in schedule:
         witnesses = harvest(chain[k - 1])
         yield k, witnesses, int(round((time.perf_counter() - t0) * 1000))
@@ -115,17 +112,13 @@ def search_widths(
         t0 = time.perf_counter()
 
 
-def search_degree(
-    d: int,
-    schedule: Iterable[int],
-    delta: Fraction = CHAIN_DELTA,
-) -> list[SweepRecord]:
+def search_degree(d: int, schedule: Iterable[int]) -> list[SweepRecord]:
     """One record per width that search_widths attempts; the last may be a find.
 
     A find records harvest's first witness, the best by (n, coefficients).
     """
     records = []
-    for k, witnesses, elapsed in search_widths(d, schedule, delta):
+    for k, witnesses, elapsed in search_widths(d, schedule):
         if witnesses:
             best = witnesses[0]
             records.append(SweepRecord(d, k, True, best.m, best.n, best.poly.coeffs, elapsed))
@@ -139,37 +132,27 @@ def run_sweep(
     d_to: int,
     k_max: int | None = None,
     jobs: int = 1,
-    delta: Fraction = CHAIN_DELTA,
     skip_degrees: frozenset[int] = frozenset(),
 ) -> Iterator[SweepRecord]:
     """Yield sweep records for d_from..d_to in deterministic (d, k) order.
 
     Degrees run on a worker pool when jobs > 1; the merge order is by degree
-    regardless of worker scheduling.  The range, k_max and delta are checked
+    regardless of worker scheduling.  The range and k_max are checked
     before skip_degrees applies, so they raise ValueError even when every
     degree is skipped.
     """
     if not 2 <= d_from <= d_to:
         raise ValueError(f"need 2 <= d_from <= d_to, got {d_from}..{d_to}")
-    check_delta(delta)
     by_degree = {d: default_k_schedule(d, k_max) for d in range(d_from, d_to + 1)}
     degrees = [d for d in by_degree if d not in skip_degrees]
     schedules = [by_degree[d] for d in degrees]
     if jobs <= 1 or len(degrees) <= 1:
         for d, schedule in zip(degrees, schedules):
-            yield from search_degree(d, schedule, delta)
+            yield from search_degree(d, schedule)
         return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for records in pool.map(search_degree, degrees, schedules, repeat(delta)):
+        for records in pool.map(search_degree, degrees, schedules):
             yield from records
-
-
-def _cut_torn_line(path: Path) -> None:
-    """Truncate the file to its last newline, dropping a line a crash cut short."""
-    with path.open("rb+") as fh:
-        data = fh.read()
-        if data and not data.endswith(b"\n"):
-            fh.truncate(data.rfind(b"\n") + 1)
 
 
 def sweep_to_file(
@@ -178,59 +161,66 @@ def sweep_to_file(
     d_to: int,
     k_max: int | None = None,
     jobs: int = 1,
-    delta: Fraction = CHAIN_DELTA,
 ) -> list[SweepRecord]:
     """Append sweep records to a JSONL file, skipping degrees already finished.
 
     A degree is finished once the file holds its terminal record: a find, or
     the attempt at k = 2 that ends every schedule.  A degree cut off by a
-    crash is searched again, and its new records follow the old ones, which
-    read_sweep_file then drops.  Each degree's records are appended as one
+    crash is searched again: before its first append the file is cut back
+    to the end of its last terminal record, which drops the partial run and
+    any line the crash tore.  Each degree's records are appended as one
     batch, and the file is opened only to append a finished batch, so an
-    argument error (degree range, k_max, delta) raises before the file is
-    created or changed.
+    argument error (degree range, k_max) raises before the file is created
+    or changed.
     """
     path = Path(path)
-    done: set[int] = set()
-    if path.exists():
-        done = {r.d for r in read_sweep_file(path) if r.found or r.k == 2}
+    data = path.read_bytes() if path.exists() else b""
+    terminal = [(r.d, end) for r, end in _records(data) if r.found or r.k == 2]
+    keep = terminal[-1][1] if terminal else 0
     written = []
-    records = run_sweep(d_from, d_to, k_max, jobs, delta, frozenset(done))
+    records = run_sweep(d_from, d_to, k_max, jobs, frozenset(d for d, _ in terminal))
     for _, batch in groupby(records, key=lambda r: r.d):
         batch = list(batch)
-        if not written and path.exists():
-            _cut_torn_line(path)
+        if not written and keep < len(data):
+            with path.open("rb+") as fh:
+                fh.truncate(keep)
         with path.open("a") as fh:
             fh.write("".join(json.dumps(r.to_json()) + "\n" for r in batch))
         written.extend(batch)
     return written
 
 
-def read_sweep_file(path: str | Path) -> list[SweepRecord]:
-    """The records of a sweep file, keeping only the last run of each degree.
+def _records(data: bytes) -> Iterator[tuple[SweepRecord, int]]:
+    """Each record of a sweep file's bytes, with the offset just past its line.
 
     Text after the last newline is a line a crash cut short and is skipped.
     So is a line with an "error" key, which earlier versions wrote for an
     attempt that raised: it records no search outcome, and counting its
     k = 2 line as terminal would keep sweep_to_file from searching that
     degree again.
-    A run is one degree's batch as sweep_to_file writes it: consecutive
-    lines of one degree whose k falls by one per line.  A degree searched
-    again after a crash has an earlier, partial run; only its last run is
-    returned.  The rerun starts a new run because it starts again at the
-    top of the schedule, unless a smaller k_max makes it start exactly one
-    below the partial run's last k.
     """
-    text = Path(path).read_text()
-    runs: list[list[SweepRecord]] = []
-    for line in text[: text.rfind("\n") + 1].splitlines():
-        line = line.strip()
-        if not line:
+    end = 0
+    for line in data[: data.rfind(b"\n") + 1].splitlines(keepends=True):
+        end += len(line)
+        if not line.strip():
             continue
         obj = json.loads(line)
-        if "error" in obj:
-            continue
-        rec = SweepRecord.from_json(obj)
+        if "error" not in obj:
+            yield SweepRecord.from_json(obj), end
+
+
+def read_sweep_file(path: str | Path) -> list[SweepRecord]:
+    """The records of a sweep file, keeping only the last run of each degree.
+
+    Torn and "error" lines are skipped (see _records).  A run is one
+    degree's batch as sweep_to_file writes it: consecutive lines of one
+    degree whose k falls by one per line.  sweep_to_file cuts a partial run
+    off before it searches the degree again, but a file written by an
+    earlier version can hold one ahead of the rerun; only the last run of
+    each degree is returned.
+    """
+    runs: list[list[SweepRecord]] = []
+    for rec, _ in _records(Path(path).read_bytes()):
         prev = runs[-1][-1] if runs else None
         if prev is not None and prev.d == rec.d and prev.k == rec.k + 1:
             runs[-1].append(rec)

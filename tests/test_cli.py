@@ -84,11 +84,18 @@ def test_search_schedule_default(runner):
     assert any(w["m"] == 11 and w["n"] == 11 for w in out)
 
 
-def test_search_delta_validation(runner):
-    assert runner.invoke(main, ["search", "-d", "2", "--delta", "1/5"]).exit_code == 2
-    assert runner.invoke(main, ["search", "-d", "2", "--delta", "zebra"]).exit_code == 2
+def test_search_delta_validation(runner, tmp_path):
+    # the search always reduces at 99/100; --delta is an unknown option
     res = runner.invoke(main, ["search", "-d", "2", "--k", "6", "--delta", "9/10"])
-    assert res.exit_code == 0
+    assert res.exit_code == 2
+    assert "No such option" in res.output
+    out = tmp_path / "sweep.jsonl"
+    res = runner.invoke(
+        main, ["sweep", "--from", "2", "--to", "3", "--delta", "9/10", "--out", str(out)]
+    )
+    assert res.exit_code == 2
+    assert "No such option" in res.output
+    assert not out.exists()
 
 
 def test_search_propagates_harvest_errors(runner, monkeypatch):
@@ -123,7 +130,6 @@ def test_sweep_and_resume(runner, tmp_path):
 @pytest.mark.parametrize("bad", [
     ["--from", "5", "--to", "2"],
     ["--from", "2", "--to", "3", "--k-max", "1"],
-    ["--from", "2", "--to", "3", "--delta", "1/5"],
     ["--from", "2", "--to", "3", "--jobs", "0"],
 ])
 def test_sweep_rejects_bad_arguments_before_writing(runner, tmp_path, bad):
@@ -186,27 +192,18 @@ def test_common_depth_command(runner, quad_file):
 
 
 def test_common_depth_env_precision(runner, quad_file, monkeypatch):
-    monkeypatch.setenv("DYNCOMPRESS_PRECISION_BITS", "256")
-    res = runner.invoke(
-        main, ["common-depth", "--poly", quad_file, "--shift", "1"]
-    )
-    assert res.exit_code == 0
-    assert json.loads(res.output)["precision_bits"] == 256
-    monkeypatch.setenv("DYNCOMPRESS_PRECISION_BITS", "many")
-    res = runner.invoke(
-        main, ["common-depth", "--poly", quad_file, "--shift", "1"]
-    )
-    assert res.exit_code == 2
-    monkeypatch.setenv("DYNCOMPRESS_PRECISION_BITS", "")
-    res = runner.invoke(
-        main, ["common-depth", "--poly", quad_file, "--shift", "1"]
-    )
-    assert res.exit_code == 0
-    assert json.loads(res.output)["precision_bits"] == 128
-    res = runner.invoke(
-        main, ["common-depth", "--poly", quad_file, "--shift", "1", "--precision", "32"]
-    )
-    assert res.exit_code == 2
+    # --precision alone sets the working precision; the environment does not
+    base = ["common-depth", "--poly", quad_file, "--shift", "1", "--max-pre", "0"]
+    for env in ("256", "many"):
+        monkeypatch.setenv("DYNCOMPRESS_PRECISION_BITS", env)
+        res = runner.invoke(main, base)
+        assert res.exit_code == 0
+        assert json.loads(res.output)["precision_bits"] == 128
+    for bits, code in (("64", 0), ("256", 0), ("63", 2), ("32", 2)):
+        res = runner.invoke(main, [*base, "--precision", bits])
+        assert res.exit_code == code
+        if code == 0:
+            assert json.loads(res.output)["precision_bits"] == int(bits)
 
 
 def test_verify_tables_command(runner):

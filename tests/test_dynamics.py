@@ -549,3 +549,5 @@ def test_depth_search_validation():
         common_preper_depth_search(QUAD, QUAD, 12, 3)  # iterate degree 2^15
     with pytest.raises(ValueError):
         common_preper_depth_search(QUAD, BinomialPoly((1, 1)), 1, 1)
+    with pytest.raises(ValueError, match="at least 64 bits, got 63$"):
+        common_preper_depth_search(QUAD, QUAD, 0, 1, precision_bits=63)

@@ -205,18 +205,16 @@ def test_find_holding_threshold_smallest_domain_point():
 
 
 def test_resolve_precision(monkeypatch):
-    monkeypatch.delenv("DYNCOMPRESS_PRECISION_BITS", raising=False)
     assert resolve_precision(None, 2, 2) == 64
     assert resolve_precision(None, 100, 10) == 220
+    assert resolve_precision(64, 100, 10) == 64
     assert resolve_precision(128, 2, 2) == 128
-    monkeypatch.setenv("DYNCOMPRESS_PRECISION_BITS", "96")
-    assert resolve_precision(None, 2, 2) == 96
     assert resolve_precision(256, 2, 2) == 256
-    with pytest.raises(ValueError):
-        resolve_precision(32, 2, 2)
-    monkeypatch.setenv("DYNCOMPRESS_PRECISION_BITS", "")
-    assert resolve_precision(None, 100, 10) == 220
-    for bad in ("32", "many"):
-        monkeypatch.setenv("DYNCOMPRESS_PRECISION_BITS", bad)
+    for bad in (63, 32, 0):
         with pytest.raises(ValueError):
-            resolve_precision(None, 2, 2)
+            resolve_precision(bad, 2, 2)
+    # the environment sets no precision
+    for env in ("96", "32", "many"):
+        monkeypatch.setenv("DYNCOMPRESS_PRECISION_BITS", env)
+        assert resolve_precision(None, 2, 2) == 64
+        assert resolve_precision(128, 2, 2) == 128

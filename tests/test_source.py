@@ -64,3 +64,33 @@ def test_no_coverage_exclusions():
         if "pragma: no cover" in line
     ]
     assert found == []
+
+
+def environment_reads(path: Path) -> list[str]:
+    """Places where a file reads os.environ or os.getenv, by attribute or import."""
+    names = {"environ", "getenv"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append(f"{path.name}:{node.lineno} {node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name in names]
+    return found
+
+
+def test_no_environment_reads():
+    # every setting is an argument or an option, so a run is reproducible
+    # from its command line alone
+    assert [r for path in SOURCES for r in environment_reads(path)] == []
+
+
+def test_environment_scan_sees_reads(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import os\nfrom os import getenv\nfrom os.path import join\n"
+        "a = os.environ.get('X')\nb = os.getenv('Y')\nc = join('p', 'q')\n"
+    )
+    assert sorted(environment_reads(sample)) == [
+        "sample.py:2 getenv", "sample.py:4 environ", "sample.py:5 getenv",
+    ]

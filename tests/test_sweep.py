@@ -1,7 +1,6 @@
 """Degree sweep: schedules, record round-trips, resume, and parallel runs."""
 import hashlib
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -107,20 +106,19 @@ def test_search_degree_propagates_value_errors(monkeypatch):
         search_degree(2, [3, 2])
 
 
-@pytest.mark.parametrize("d,schedule,delta", [
-    (1, (3, 2), CHAIN_DELTA),
-    (5, (3, 2), Fraction(1, 5)),
-    (5, (), CHAIN_DELTA),
-    (20, (9, 0, 8), CHAIN_DELTA),
-    (5, (0,), CHAIN_DELTA),
+@pytest.mark.parametrize("d,schedule", [
+    (1, (3, 2)),
+    (5, ()),
+    (20, (9, 0, 8)),
+    (5, (0,)),
 ])
-def test_search_rejects_bad_arguments_before_harvest(monkeypatch, d, schedule, delta):
+def test_search_rejects_bad_arguments_before_harvest(monkeypatch, d, schedule):
     calls = []
     monkeypatch.setattr(sweep_mod, "harvest", lambda reduced: calls.append(reduced) or [])
     with pytest.raises(ValueError):
-        search_degree(d, schedule, delta)
+        search_degree(d, schedule)
     with pytest.raises(ValueError):
-        next(search_widths(d, schedule, delta))
+        next(search_widths(d, schedule))
     assert calls == []
 
 
@@ -178,9 +176,8 @@ def test_sweep_to_file_resume(tmp_path):
 
 
 @pytest.mark.parametrize("d_from,d_to,kwargs", [
-    (11, 12, {"delta": Fraction(1, 5)}),
-    (12, 11, {}),
     (11, 12, {"k_max": 1}),
+    (12, 11, {}),
 ])
 def test_sweep_to_file_rejects_bad_arguments_before_writing(tmp_path, d_from, d_to, kwargs):
     absent = tmp_path / "absent.jsonl"
@@ -198,10 +195,10 @@ def test_sweep_to_file_rejects_bad_arguments_before_writing(tmp_path, d_from, d_
     assert existing.read_bytes() == content
 
 
-def test_sweep_to_file_resumes_after_rejected_delta(tmp_path):
+def test_sweep_to_file_resumes_after_rejected_k_max(tmp_path):
     out = tmp_path / "sweep.jsonl"
     with pytest.raises(ValueError):
-        sweep_to_file(out, 11, 12, delta=Fraction(1, 5))
+        sweep_to_file(out, 11, 12, k_max=1)
     written = sweep_to_file(out, 11, 12)
     assert [r.d for r in written if r.found] == [11, 12]
     assert read_sweep_file(out) == written
@@ -220,7 +217,7 @@ def test_sweep_to_file_searches_degree_with_old_error_line(tmp_path):
     assert read_sweep_file(out) == written
 
 
-@pytest.mark.parametrize("kwargs", [{"k_max": 1}, {"delta": Fraction(1, 5)}])
+@pytest.mark.parametrize("kwargs", [{"k_max": 1}])
 def test_sweep_to_file_rejects_bad_arguments_when_all_finished(tmp_path, kwargs):
     out = tmp_path / "sweep.jsonl"
     rec = SweepRecord(2, 6, True, 8, 7, (11, -4, 1), 3)
@@ -273,3 +270,17 @@ def test_sweep_to_file_drops_torn_last_line(tmp_path):
     written = sweep_to_file(out, 2, 3)
     assert {r.d for r in written} == {3}
     assert read_sweep_file(out) == [done] + written
+
+
+def test_sweep_to_file_cuts_partial_run_before_rerun(tmp_path):
+    # a crash tore k = 9 after k = 11 and 10; a rerun with k_max = 9 starts
+    # one below the stale run, which must not merge with it
+    out = tmp_path / "sweep.jsonl"
+    stale = [SweepRecord(12, k, False, None, None, None, 1) for k in (11, 10)]
+    done = SweepRecord(2, 6, True, 8, 7, (11, -4, 1), 3)
+    lines = [json.dumps(r.to_json()) + "\n" for r in [done] + stale]
+    out.write_text("".join(lines) + '{"d": 12, "k": 9, "fo')
+    written = sweep_to_file(out, 12, 12, k_max=9)
+    assert [r.k for r in written] == [9, 8]
+    assert read_sweep_file(out) == [done] + written
+    assert out.read_text() == lines[0] + "".join(json.dumps(r.to_json()) + "\n" for r in written)
