@@ -130,6 +130,7 @@ def test_sweep_and_resume(runner, tmp_path):
 @pytest.mark.parametrize("bad", [
     ["--from", "5", "--to", "2"],
     ["--from", "2", "--to", "3", "--k-max", "1"],
+    ["--from", "1", "--to", "3"],
     ["--from", "2", "--to", "3", "--jobs", "0"],
 ])
 def test_sweep_rejects_bad_arguments_before_writing(runner, tmp_path, bad):

@@ -176,8 +176,9 @@ def test_sweep_to_file_resume(tmp_path):
 
 
 @pytest.mark.parametrize("d_from,d_to,kwargs", [
-    (11, 12, {"k_max": 1}),
+    (11, 12, {"k_max": 0}),
     (12, 11, {}),
+    (11, 12, {"k_max": 1}),
 ])
 def test_sweep_to_file_rejects_bad_arguments_before_writing(tmp_path, d_from, d_to, kwargs):
     absent = tmp_path / "absent.jsonl"
