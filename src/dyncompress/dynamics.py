@@ -437,8 +437,8 @@ def common_preper_depth_search(
         g_rad = mp.mpf(g_radius.numerator) / g_radius.denominator
 
         def g_eval(z):
-            acc = mp.mpc(0)
-            for c in g_coeffs:
+            acc = mp.mpc(g_coeffs[0])
+            for c in g_coeffs[1:]:
                 acc = acc * z + c
             return acc
 

@@ -57,8 +57,16 @@ class LatticeBasis:
         width = len(self.vectors[0])
         if any(len(v) != width for v in self.vectors):
             raise ValueError("basis vectors must share one length")
+        # rebuild only vectors with an entry that is not exactly an int
+        # (a bool, a numpy integer, ...); int vectors are kept as given
         object.__setattr__(
-            self, "vectors", tuple(tuple(int(x) for x in v) for v in self.vectors)
+            self,
+            "vectors",
+            tuple(
+                v if type(v) is tuple and set(map(type, v)) <= {int}
+                else tuple(int(x) for x in v)
+                for v in self.vectors
+            ),
         )
 
 

@@ -126,17 +126,20 @@ class BinomialPoly:
 
         Walks the difference table to lo, then fills in the rest of the
         table on [lo, hi] by the same Pascal rule, one order at a time from
-        the constant top: each order is the running sum of the one above it,
-        started at its entry at lo.  O((|lo| + hi - lo + 1) * deg) big-integer
-        additions, and no multiplication or division.
+        the top: each order is the running sum of the one above it, started
+        at its entry at lo.  Order j feeds only count - j entries of the
+        values (count = hi - lo + 1), so it is filled that far: a triangle,
+        and orders j >= count are never read.  That is |lo| * deg additions
+        for the walk and about count * deg - deg^2 / 2 for the window
+        (count^2 / 2 when count < deg), and no multiplication or division.
         """
         if hi < lo:
             return []
-        table = _pascal_steps(list(self.coeffs), lo) or [0]
         count = hi - lo + 1
-        row = [table[-1]] * count
+        table = (_pascal_steps(list(self.coeffs), lo) or [0])[:count]
+        row = [table[-1]] * (count - len(table) + 1)
         for start in reversed(table[:-1]):
-            row = list(accumulate(row[: count - 1], initial=start))
+            row = list(accumulate(row, initial=start))
         return row
 
     def shift_argument(self, t: int) -> "BinomialPoly":
@@ -505,11 +508,19 @@ def coprime_shifts_mod_p(
 
     One Euclid decides a whole set S of shifts.  With r = f mod g in F_p[x],
     f - c = r - c mod g, and over a field gcd(prod (r - c), g) = 1 exactly
-    when every gcd(r - c, g) = 1.  The product over S is formed in
-    F_p[x]/(g) by the matrix of multiplication by r, one matrix-vector
-    product per shift.  A set that fails is bisected down to its single
-    shifts, whose test is the per-fiber Euclid, so each entry is the
-    answer that Euclid on f - c and g alone gives.
+    when every gcd(r - c, g) = 1.  The product over S is P(r) in F_p[x]/(g),
+    P(y) = prod (y - c), evaluated by Paterson and Stockmeyer (SIAM J.
+    Comput. 1973): with n = |S| and s = isqrt(n), the baby powers r^0, ...,
+    r^s come from the matrix of multiplication by r, and Horner in r^s runs
+    over chunks of s coefficients, one product by the matrix of r^s per
+    chunk; about 2 sqrt(n) matrix-vector products instead of n.  Expanding
+    P costs about n^2 operations, which outgrows the n m^2 of a product per
+    shift when n > m^2 (m = deg g), so S is split into blocks of about
+    m^(4/3) shifts, the size that minimises the cost per shift, and the
+    blocks' values are multiplied together; one block covers S whenever
+    n <= m^(4/3).  A set that fails is bisected down to its single shifts,
+    whose test is the per-fiber Euclid, so each entry is the answer that
+    Euclid on f - c and g alone gives.
     """
     if f.degree < 1 or not g.coeffs:
         raise ValueError("need deg f >= 1 and g nonzero")
@@ -528,23 +539,54 @@ def coprime_shifts_mod_p(
         top = v[-1]
         return [(a - top * t) % p for a, t in zip([0, *v[:-1]], tail)]
 
+    def columns(v):
+        """Columns x^j v mod g, j < m: the matrix of multiplication by v."""
+        cols = [v]
+        for _ in range(m - 1):
+            cols.append(times_x(cols[-1]))
+        return cols
+
     r = [0] * m
     for c in fa:  # Horner: r = f mod g
         r = times_x(r)
         r[0] = (r[0] + c) % p
-    cols = [r]
-    for _ in range(m - 1):
-        cols.append(times_x(cols[-1]))
-    rows = list(zip(*cols))  # row i of the matrix of multiplication by r
+    powers = [[1] + [0] * (m - 1), r]  # r^0, r^1, ...: shared by every set
+    # s -> rows of the matrix of multiplication by r^s, row i followed by
+    # entry i of r^0, ..., r^(s-1): one product of row i with
+    # h + [a_0, ..., a_(s-1)] is entry i of h r^s + sum a_t r^t
+    steps = {1: list(zip(*columns(r), powers[0]))}
+    # a block of b shifts costs about b^2 + 2 sqrt(b) m^2 operations, and
+    # b + 2 m^2 / sqrt(b) per shift is least near b = m^(4/3)
+    block = max(4, round(m ** (4 / 3)))
+
+    def evaluate(cs):
+        """P(r) mod g for P(y) = prod over cs of (y - c), by Paterson-Stockmeyer."""
+        poly = [1]  # lowest degree first
+        for c in cs:
+            poly = [(a - c * b) % p for a, b in zip([0, *poly], [*poly, 0])]
+        n = len(cs)
+        s = math.isqrt(n)
+        if s not in steps:
+            while len(powers) <= s:  # baby steps; map reads m entries of a row
+                powers.append(
+                    [sum(map(operator.mul, row, powers[-1])) % p for row in steps[1]]
+                )
+            steps[s] = list(zip(*columns(powers[s]), *powers[:s]))
+        rows = steps[s]
+        top = n - n % s
+        h = [sum(map(operator.mul, row[m:], poly[top:])) % p for row in rows]
+        for k in range(top - s, -1, -s):  # Horner in r^s, one chunk at a time
+            hv = h + poly[k : k + s]
+            h = [sum(map(operator.mul, row, hv)) % p for row in rows]
+        return h
+
     out = [True] * len(shifts)
 
     def coprime(lo, hi):
-        h = [1] + [0] * (m - 1)
-        for c in shifts[lo:hi]:
-            h = [
-                (sum(map(operator.mul, row, h)) - c * v) % p
-                for row, v in zip(rows, h)
-            ]
+        h = evaluate(shifts[lo : min(lo + block, hi)])
+        for b in range(lo + block, hi, block):  # times the next block's P(r)
+            q = evaluate(shifts[b : min(b + block, hi)])
+            h = [sum(map(operator.mul, row, h)) % p for row in zip(*columns(q))]
         while h and h[-1] == 0:
             h.pop()
         return bool(h) and _coprime_mod(gb, h[::-1], p)

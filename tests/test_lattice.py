@@ -33,6 +33,18 @@ def test_build_lattice_small():
     assert basis.vectors[2] == (0, 1, 3, 6, 10, 15, 21, 28)
 
 
+def test_lattice_basis_keeps_int_vectors_and_converts_the_rest():
+    class Wide(int):
+        pass
+
+    ints = (3, -(2**70), 0)
+    basis = LatticeBasis((ints, [4, 5, 6], (True, Wide(7), False)))
+    assert basis.vectors[0] is ints  # already exact ints: kept as given
+    assert basis.vectors == ((3, -(2**70), 0), (4, 5, 6), (1, 7, 0))
+    for v in basis.vectors:
+        assert type(v) is tuple and all(type(x) is int for x in v)
+
+
 def test_build_lattice_rejects():
     with pytest.raises(ValueError):
         build_lattice(1, 6)

@@ -140,6 +140,21 @@ def test_values_match_pointwise(f, lo, length):
 
 
 @kernel_settings
+@given(
+    st.integers(20, 40).flatmap(lambda deg: st.tuples(
+        st.lists(st.integers(-(2**64), 2**64), min_size=deg, max_size=deg)
+        .map(lambda cs: BinomialPoly((*cs, 1))),
+        st.integers(0, deg + 2),
+    )),
+    st.one_of(st.integers(-(10**4), -(10**3)), st.integers(10**3, 10**4)),
+)
+def test_values_match_pointwise_on_short_runs(case, lo):
+    # count <= degree: only the lowest count orders of the table are read
+    f, length = case
+    assert f.values(lo, lo + length - 1) == [f(x) for x in range(lo, lo + length)]
+
+
+@kernel_settings
 @given(binomial_polys, small_ints, st.integers(0, 5))
 def test_interpolate_round_trip_any_start(f, start, extra):
     vals = f.values(start, start + max(f.degree, 0) + extra)
@@ -355,6 +370,27 @@ def coprime_shifts_by_monic_euclid(f, g, shifts, p):
          shifts=[0, 0, 7, -7, 1, 8, 15])
 def test_coprime_shifts_mod_p_matches_per_shift_euclid(p, f, g, shifts):
     # g may be constant or of degree >= deg f; shifts repeat, go negative or past p
+    with mock.patch.object(polynomials, "_PRIME", p):
+        got = coprime_shifts_mod_p(f, g, shifts)
+    assert got == coprime_shifts_by_monic_euclid(f, g, shifts, p)
+
+
+@kernel_settings
+@given(
+    p=st.sampled_from([2, 3, 7, 2**61 - 1]),
+    f=small_rational_polys.filter(lambda f: f.degree >= 1),
+    g=st.lists(
+        st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)), min_size=1, max_size=13
+    ).map(lambda cs: RationalPoly(tuple(cs))).filter(lambda g: bool(g.coeffs)),
+    shifts=st.lists(
+        st.one_of(small_ints, st.integers(-(2**64), 2**64), st.sampled_from([0, 1, 7])),
+        min_size=13,
+        max_size=40,
+    ),
+)
+def test_coprime_shifts_mod_p_matches_per_shift_euclid_on_long_sets(p, f, g, shifts):
+    # 13..40 shifts: s = isqrt(n) is 3..6, so several giant steps run and the
+    # top chunk of P(y) = prod (y - c) is often partial
     with mock.patch.object(polynomials, "_PRIME", p):
         got = coprime_shifts_mod_p(f, g, shifts)
     assert got == coprime_shifts_by_monic_euclid(f, g, shifts, p)
