@@ -181,15 +181,13 @@ def common(poly_path: str, m: int, n: int):
 @click.option("--max-pre", type=int, default=2)
 @click.option("--max-per", type=int, default=3)
 @click.option("--precision", type=int, default=128)
-@click.option("--tol", type=float, default=1e-20)
-def common_depth(poly_path: str, shift: int, max_pre: int, max_per: int,
-                 precision: int, tol: float):
+def common_depth(poly_path: str, shift: int, max_pre: int, max_per: int, precision: int):
     """Numerically count common preperiodic points of f and f + shift."""
     f = _load_integer_valued(poly_path)
     try:
         report = common_preper_depth_search(
             f, f + shift, max_pre=max_pre, max_per=max_per,
-            precision_bits=precision, tol=tol,
+            precision_bits=precision,
         )
     except (OrbitUndecided, RootFindingError) as exc:
         _echo_json({"error": str(exc)})

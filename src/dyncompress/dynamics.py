@@ -101,7 +101,6 @@ class DepthSearchReport:
     max_pre: int
     max_per: int
     precision_bits: int
-    tol: float
 
     def to_json(self) -> dict:
         return {
@@ -111,7 +110,7 @@ class DepthSearchReport:
             "max_pre": self.max_pre,
             "max_per": self.max_per,
             "precision_bits": self.precision_bits,
-            "tol": self.tol,
+            "tol": MERGE_TOL,
             "heuristic": True,
         }
 
@@ -326,6 +325,11 @@ def _compose(outer: RationalPoly, inner: RationalPoly) -> RationalPoly:
 # Largest iterate degree f.degree ** (max_pre + max_per) the depth search expands.
 DEPTH_DEGREE_CAP = 1 << 14
 
+# The depth search merges candidates closer than MERGE_TOL and works at
+# DEPTH_MIN_BITS or more, where MERGE_TOL is above the root-finding noise.
+MERGE_TOL = 1e-20
+DEPTH_MIN_BITS = 96
+
 
 def _poly_roots(coeffs_mpc, label: str):
     """mp.polyroots wrapper with escalating precision and a clear error.
@@ -383,7 +387,6 @@ def common_preper_depth_search(
     max_pre: int,
     max_per: int,
     precision_bits: int = 128,
-    tol: float = 1e-20,
 ) -> DepthSearchReport:
     """Census of solutions of f^(a+c)(x) = f^a(x) that g also keeps tame.
 
@@ -391,8 +394,7 @@ def common_preper_depth_search(
     roots of f^(a+c) - f^a.  Nesting makes that set equal to the a-fold
     preimages of the short cycles, so roots come from f^c - x (exact
     squarefree part, numerical roots) followed by numerical preimage pulls,
-    level by level; candidates closer than tol are merged, which is all tol
-    does.
+    level by level; candidates closer than MERGE_TOL = 1e-20 are merged.
 
     A point is retained when its g-orbit stays inside g's escape radius R
     and, within 4*(max_pre + max_per) + 20 steps, revisits an earlier orbit
@@ -402,25 +404,31 @@ def common_preper_depth_search(
     closes in at a rate set by the cycle's multiplier, not by p, so its
     distance does not shrink when p grows and it is not counted.
 
-    Both distance tests (tol and the revisit floor) run a float screen
+    Both distance tests (the merge and the revisit floor) run a float screen
     first: it skips only pairs that are provably far apart, whose
     double-precision distance exceeds the threshold by more than a proven
     rounding bound.  Every other pair takes the mp comparison, so every
     keep, drop and merge is the one an mp scan of every pair makes.
 
+    precision_bits must be at least DEPTH_MIN_BITS = 96.  Below that the
+    merge distance sits under the root-finding noise and attracting orbits
+    reach the revisit floor, so the census over-counts (75 against 26 at
+    depth (4, 3) and 64 bits for the record quadratic and g = f + 1).
+
     The census stays heuristic: an orbit attracted fast enough, as to a
     superattracting cycle, can still reach the noise floor within the step
-    budget, and at low precision so can an ordinary attracting cycle (for
-    the record quadratic and g = f + 1, counts are stable from 96 bits up).
-    Conversely a candidate that root finding places less accurately than the
-    working precision misses the floor, so check counts at doubled precision.
+    budget.  Conversely a candidate that root finding places less accurately
+    than the working precision misses the floor, so check counts at doubled
+    precision.
     """
     if f.degree < 2 or g.degree < 2:
         raise ValueError("depth search needs degree >= 2 on both maps")
     if max_pre < 0 or max_per < 1:
         raise ValueError("need max_pre >= 0 and max_per >= 1")
-    if precision_bits < 64:
-        raise ValueError(f"precision must be at least 64 bits, got {precision_bits}")
+    if precision_bits < DEPTH_MIN_BITS:
+        raise ValueError(
+            f"precision must be at least {DEPTH_MIN_BITS} bits, got {precision_bits}"
+        )
     if f.degree ** (max_pre + max_per) > DEPTH_DEGREE_CAP:
         raise ValueError(
             f"iterate degree {f.degree ** (max_pre + max_per)} exceeds the "
@@ -431,7 +439,7 @@ def common_preper_depth_search(
     g_radius = escape_radius(gm)
 
     with mp.workprec(precision_bits):
-        tol_mp = mp.mpf(tol)
+        tol_mp = mp.mpf(MERGE_TOL)
         f_coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(fm.coeffs)]
         g_coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(gm.coeffs)]
         g_rad = mp.mpf(g_radius.numerator) / g_radius.denominator
@@ -517,5 +525,4 @@ def common_preper_depth_search(
         max_pre=max_pre,
         max_per=max_per,
         precision_bits=precision_bits,
-        tol=tol,
     )

@@ -112,14 +112,6 @@ def _exact_quotient(num: int, den: int) -> int:
     return q
 
 
-def _check_delta(delta) -> Fraction:
-    """delta as a Fraction; ValueError unless 1/4 < delta < 1."""
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta < 1:
-        raise ValueError("delta must lie in (1/4, 1)")
-    return delta
-
-
 def _slot_words(bound: int) -> int:
     """64-bit words per packed slot that hold any entry of absolute value <= bound."""
     return bound.bit_length() // 64 + 1
@@ -178,7 +170,9 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
     their bounds, only for init_row's inner products and for the result.
     dd and lam, and so every decision, are those of the list-based algorithm.
     """
-    delta = _check_delta(delta)
+    delta = Fraction(delta)
+    if not Fraction(1, 4) < delta < 1:
+        raise ValueError("delta must lie in (1/4, 1)")
     p, q = delta.numerator, delta.denominator
 
     rows = basis.vectors
@@ -272,10 +266,10 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
     return LatticeBasis(tuple(entries(t) for t in range(n)))
 
 
-def lll_chain(d: int, top: int, delta: Fraction = CHAIN_DELTA) -> tuple[LatticeBasis, ...]:
+def lll_chain(d: int, top: int) -> tuple[LatticeBasis, ...]:
     """Exactly reduced bases of the binomial value lattice for k = 1..top.
 
-    Entry k - 1 is an LLL-reduced basis, at delta, of the lattice that
+    Entry k - 1 is an LLL-reduced basis, at CHAIN_DELTA, of the lattice that
     build_lattice(d, k) generates.  At k = 1 that lattice is all of Z^(d+1),
     since any d+1 integers are the values on [1, d+1] of an integer-valued
     polynomial of degree <= d, so the chain starts from the identity basis.
@@ -290,7 +284,6 @@ def lll_chain(d: int, top: int, delta: Fraction = CHAIN_DELTA) -> tuple[LatticeB
         raise ValueError("d must be at least 2")
     if top < 1:
         raise ValueError("k must be at least 1")
-    delta = _check_delta(delta)
     weights = [(-1) ** (d - j) * comb(d + 1, j) for j in range(d + 1)]
     identity = tuple(tuple(int(i == j) for j in range(d + 1)) for i in range(d + 1))
     chain = [LatticeBasis(identity)]
@@ -299,7 +292,7 @@ def lll_chain(d: int, top: int, delta: Fraction = CHAIN_DELTA) -> tuple[LatticeB
             v + (sum(w * x for w, x in zip(weights, v[-(d + 1):])),)
             for v in chain[-1].vectors
         ))
-        chain.append(lll_reduce(extended, delta))
+        chain.append(lll_reduce(extended, CHAIN_DELTA))
     return tuple(chain)
 
 

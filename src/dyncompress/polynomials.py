@@ -510,17 +510,19 @@ def coprime_shifts_mod_p(
     f - c = r - c mod g, and over a field gcd(prod (r - c), g) = 1 exactly
     when every gcd(r - c, g) = 1.  The product over S is P(r) in F_p[x]/(g),
     P(y) = prod (y - c), evaluated by Paterson and Stockmeyer (SIAM J.
-    Comput. 1973): with n = |S| and s = isqrt(n), the baby powers r^0, ...,
-    r^s come from the matrix of multiplication by r, and Horner in r^s runs
-    over chunks of s coefficients, one product by the matrix of r^s per
-    chunk; about 2 sqrt(n) matrix-vector products instead of n.  Expanding
-    P costs about n^2 operations, which outgrows the n m^2 of a product per
-    shift when n > m^2 (m = deg g), so S is split into blocks of about
-    m^(4/3) shifts, the size that minimises the cost per shift, and the
-    blocks' values are multiplied together; one block covers S whenever
-    n <= m^(4/3).  A set that fails is bisected down to its single shifts,
-    whose test is the per-fiber Euclid, so each entry is the answer that
-    Euclid on f - c and g alone gives.
+    Comput. 1973).  Expanding P costs about n^2 operations for n = |S|,
+    which outgrows the n m^2 of a product per shift when n > m^2 (m =
+    deg g), so S is split into blocks of about m^(4/3) shifts, the size that
+    minimises the cost per shift, and the blocks' values are multiplied
+    together.  One plan serves the call, with s = isqrt(min(block, number
+    of shifts)): the baby powers r^0, ..., r^s come from the matrix of
+    multiplication by r, and Horner in r^s runs over chunks of s
+    coefficients, one product by the matrix of r^s per chunk.  After the s
+    baby steps, a block of s^2 shifts takes s matrix-vector products instead
+    of s^2, and any set of L shifts, a half the bisection tests included,
+    takes L // s with no new matrix.  A set that fails is bisected down to
+    its single shifts, whose test is the per-fiber Euclid, so each entry is
+    the answer that Euclid on f - c and g alone gives.
     """
     if f.degree < 1 or not g.coeffs:
         raise ValueError("need deg f >= 1 and g nonzero")
@@ -550,14 +552,19 @@ def coprime_shifts_mod_p(
     for c in fa:  # Horner: r = f mod g
         r = times_x(r)
         r[0] = (r[0] + c) % p
-    powers = [[1] + [0] * (m - 1), r]  # r^0, r^1, ...: shared by every set
-    # s -> rows of the matrix of multiplication by r^s, row i followed by
-    # entry i of r^0, ..., r^(s-1): one product of row i with
-    # h + [a_0, ..., a_(s-1)] is entry i of h r^s + sum a_t r^t
-    steps = {1: list(zip(*columns(r), powers[0]))}
     # a block of b shifts costs about b^2 + 2 sqrt(b) m^2 operations, and
     # b + 2 m^2 / sqrt(b) per shift is least near b = m^(4/3)
     block = max(4, round(m ** (4 / 3)))
+    # one plan for every set evaluated: rows of the matrix of multiplication
+    # by r^s, row i followed by entry i of r^0, ..., r^(s-1), so one product
+    # of row i with h + [a_0, ..., a_(s-1)] is entry i of h r^s + sum a_t r^t
+    s = max(1, math.isqrt(min(block, len(shifts))))
+    powers = [[1] + [0] * (m - 1), r]
+    rows = list(zip(*columns(r), powers[0]))
+    while len(powers) <= s:  # baby steps; map reads m entries of a row
+        powers.append([sum(map(operator.mul, row, powers[-1])) % p for row in rows])
+    if s > 1:
+        rows = list(zip(*columns(powers[s]), *powers[:s]))
 
     def evaluate(cs):
         """P(r) mod g for P(y) = prod over cs of (y - c), by Paterson-Stockmeyer."""
@@ -565,14 +572,6 @@ def coprime_shifts_mod_p(
         for c in cs:
             poly = [(a - c * b) % p for a, b in zip([0, *poly], [*poly, 0])]
         n = len(cs)
-        s = math.isqrt(n)
-        if s not in steps:
-            while len(powers) <= s:  # baby steps; map reads m entries of a row
-                powers.append(
-                    [sum(map(operator.mul, row, powers[-1])) % p for row in steps[1]]
-                )
-            steps[s] = list(zip(*columns(powers[s]), *powers[:s]))
-        rows = steps[s]
         top = n - n % s
         h = [sum(map(operator.mul, row[m:], poly[top:])) % p for row in rows]
         for k in range(top - s, -1, -s):  # Horner in r^s, one chunk at a time

@@ -107,17 +107,20 @@ def table3_poly(d: int) -> BinomialPoly:
     return interpolate(vals, 1)
 
 
+def _t2_source(d: int) -> tuple[str, BinomialPoly]:
+    """Where the T2 entry for degree d >= 3 comes from: its name and polynomial."""
+    if d in (3, 7):
+        return "compressing_family", compressing_poly_binomial(d)
+    if d in TABLE3:
+        return "T3", table3_poly(d)
+    if d in (4, 5, 6, 8, 9):
+        return "T1", table1_poly(d, n=15 if d == 8 else None)  # 8: the strict row
+    raise KeyError(f"no T2 source polynomial for degree {d}")
+
+
 def table2_source_poly(d: int) -> BinomialPoly:
     """The polynomial whose window produces the T2 entry for degree d >= 3."""
-    if d in (3, 7):
-        return compressing_poly_binomial(d)
-    if d in (4, 5, 6, 9):
-        return table1_poly(d)
-    if d == 8:
-        return table1_poly(8, n=15)  # the strict window row
-    if d in TABLE3:
-        return table3_poly(d)
-    raise KeyError(f"no T2 source polynomial for degree {d}")
+    return _t2_source(d)[1]
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,7 @@ class TableReport:
 def _verify_t1() -> TableReport:
     rows = []
     for d, m, n, numer_desc, denom in TABLE1:
-        poly = table1_poly(d, n=n) if d == 8 else table1_poly(d)
+        poly = table1_poly(d, n=n)
         res = check_window(poly, m, n)
         expected = {"verified": True, "degree": d}
         computed = {
@@ -180,12 +183,12 @@ def _verify_t2() -> TableReport:
                 }
             )
             continue
-        f = table2_source_poly(d)
+        source, f = _t2_source(d)
         w = best_window(f, 3 * d + 20)
         if w is None:
             rows.append(
                 {
-                    "inputs": {"d": d, "source": _t2_source_name(d)},
+                    "inputs": {"d": d, "source": source},
                     "expected": expected,
                     "computed": None,
                     "pass": False,
@@ -195,21 +198,13 @@ def _verify_t2() -> TableReport:
         bound = common_preper_bound(f, w.m, w.m - 1)
         rows.append(
             {
-                "inputs": {"d": d, "source": _t2_source_name(d), "m": w.m},
+                "inputs": {"d": d, "source": source, "m": w.m},
                 "expected": expected,
                 "computed": bound.count,
                 "pass": bound.count == expected,
             }
         )
     return TableReport("T2", tuple(rows))
-
-
-def _t2_source_name(d: int) -> str:
-    if d in (3, 7):
-        return "compressing_family"
-    if d in TABLE3:
-        return "T3"
-    return "T1"
 
 
 def _verify_t3() -> TableReport:

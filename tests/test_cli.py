@@ -190,6 +190,12 @@ def test_common_depth_command(runner, quad_file):
         main, ["common-depth", "--poly", quad_file, "--shift", "1", "--max-per", "0"]
     )
     assert bad.exit_code == 2
+    # duplicate candidates merge at a fixed distance; --tol is an unknown option
+    bad = runner.invoke(
+        main, ["common-depth", "--poly", quad_file, "--shift", "1", "--tol", "1e-10"]
+    )
+    assert bad.exit_code == 2
+    assert "No such option" in bad.output
 
 
 def test_common_depth_env_precision(runner, quad_file, monkeypatch):
@@ -200,7 +206,7 @@ def test_common_depth_env_precision(runner, quad_file, monkeypatch):
         res = runner.invoke(main, base)
         assert res.exit_code == 0
         assert json.loads(res.output)["precision_bits"] == 128
-    for bits, code in (("64", 0), ("256", 0), ("63", 2), ("32", 2)):
+    for bits, code in (("96", 0), ("256", 0), ("95", 2), ("63", 2), ("32", 2)):
         res = runner.invoke(main, [*base, "--precision", bits])
         assert res.exit_code == code
         if code == 0:

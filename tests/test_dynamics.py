@@ -420,6 +420,15 @@ def test_depth_search_longer_cycles_add_nothing():
     assert rep.per_level == (22, 22, 44, 88, 176)
 
 
+@pytest.mark.parametrize("deg,max_pre,max_per", [(2, 4, 3), (3, 2, 2)])
+def test_depth_search_agrees_at_the_precision_floor(deg, max_pre, max_per):
+    # at the 96-bit floor the census matches its 128-bit count level by level
+    # (at 64 bits depth (4, 3) reads 75 against 26)
+    low = shifted_census(deg, max_pre, max_per, dynamics.DEPTH_MIN_BITS)
+    base = shifted_census(deg, max_pre, max_per, 128)
+    assert (low.count, low.per_level) == (base.count, base.per_level)
+
+
 @pytest.mark.parametrize("deg,max_pre,max_per,bits,count,digest", [
     (2, 2, 3, 128, 18, "8567e4b2f9043416389570cc6619c26331d469b02cbe6f1c0c86381f13ed237e"),
     (2, 4, 3, 128, 26, "649590d98bd04762a3a2b6b52130bef080fb291648003af33fe82a56df993e6f"),
@@ -549,5 +558,5 @@ def test_depth_search_validation():
         common_preper_depth_search(QUAD, QUAD, 12, 3)  # iterate degree 2^15
     with pytest.raises(ValueError):
         common_preper_depth_search(QUAD, BinomialPoly((1, 1)), 1, 1)
-    with pytest.raises(ValueError, match="at least 64 bits, got 63$"):
-        common_preper_depth_search(QUAD, QUAD, 0, 1, precision_bits=63)
+    with pytest.raises(ValueError, match="at least 96 bits, got 95$"):
+        common_preper_depth_search(QUAD, QUAD, 0, 1, precision_bits=95)
