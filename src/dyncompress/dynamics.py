@@ -23,12 +23,14 @@ precision; the two mechanisms never mix.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 import mpmath as mp
+from mpmath.libmp import fzero, mpc_add_mpf, mpc_mul
 from mpmath.libmp.libhyper import NoConvergence
 
 from .compression import CompressionWitness, check_window
@@ -331,8 +333,77 @@ MERGE_TOL = 1e-20
 DEPTH_MIN_BITS = 96
 
 
+# The double-precision seed pass of _poly_roots takes at most _SEED_STEPS
+# Durand-Kerner sweeps.  It has converged once every root's residual |p(z)|
+# is at most _SEED_TOL times sum |c_k| |z|^k, the scale of Horner's rounding
+# error: in doubles the residuals of the census polynomials settle near
+# 2^-55 of it, and no further sweep makes them smaller.  Its roots count as
+# clustered when two lie within _SEED_SEPARATION of the roots' scale; a
+# double root splits into two approximations about 2^-26 apart in doubles.
+_SEED_STEPS = 100
+_SEED_TOL = 2.0**-46
+_SEED_SEPARATION = 2.0**-20
+
+
+def _l1(z: complex) -> float:
+    """|re z| + |im z|: a norm of z that, unlike abs(z), never raises on overflow."""
+    return abs(z.real) + abs(z.imag)
+
+
+def _seed_roots(coeffs) -> Optional[list]:
+    """Roots of the polynomial (coefficients leading first) to double precision, or None.
+
+    Runs mp.polyroots's own iteration in Python complex: Durand-Kerner on the
+    monic polynomial from the starts (0.4 + 0.9i)^k, each root updated in
+    place, a factor z_i - z_j that is exactly 0 skipped.  Returns None when a
+    monic coefficient is not a finite double, when the residuals do not
+    reach the rounding scale within the step budget (NaN and inf never do),
+    and when two roots are clustered: coincident starts stay together under
+    Durand-Kerner, so mp.polyroots could not separate them.  A NaN or inf
+    root fails that separation test too.
+    """
+    lead = coeffs[0]
+    monic = [complex(c / lead) for c in coeffs[1:]]
+    if not all(map(cmath.isfinite, monic)):
+        return None
+    roots = [(0.4 + 0.9j) ** k for k in range(len(monic))]
+    for _ in range(_SEED_STEPS):
+        converged = True
+        for i, z in enumerate(roots):
+            x, scale, size = 1.0, 1.0, _l1(z)
+            for c in monic:
+                x = x * z + c
+                scale = scale * size + _l1(c)
+            converged = converged and _l1(x) <= _SEED_TOL * scale
+            for w in roots:
+                if z != w:
+                    x /= z - w
+            roots[i] = z - x
+        if converged:
+            break
+    else:
+        return None
+    gap = _SEED_SEPARATION * (1 + max(map(_l1, roots), default=0.0))
+    for i, z in enumerate(roots):
+        for w in roots[:i]:
+            if not _l1(z - w) > gap:
+                return None
+    return roots
+
+
 def _poly_roots(coeffs_mpc, label: str):
-    """mp.polyroots wrapper with escalating precision and a clear error.
+    """mp.polyroots from double-precision starts, with escalating precision.
+
+    _seed_roots supplies starts accurate to double precision, and from them
+    Durand-Kerner converges in 3 steps at 60 guard bits, where the cold
+    start (0.4 + 0.9i)^k takes 9-11 on a quadratic preimage pull, 13 on the
+    degree-4 and 22 on the degree-8 cycle polynomial of the record
+    quadratic.  When it returns None the cold start is used.  Accuracy is
+    still decided by mp.polyroots's own stopping test, so the roots are the
+    cold start's: over 655 calls of eight censuses, every call returned the
+    same roots bit for bit.  In 74 the order differed between roots of
+    equal |im|, since polyroots sorts by (|im|, re) before it rounds to the
+    working precision and the guard bits break such ties.
 
     The ladder starts at 60 guard bits because a rung that cannot converge
     costs all of its 200 Durand-Kerner steps.  At 10 guard bits the
@@ -340,16 +411,35 @@ def _poly_roots(coeffs_mpc, label: str):
     quadratic never fall below the working eps, at any step budget, and
     that one doomed call cost most of the T2 census.  60 bits converge on
     every call of the censuses of the degree 2 and 3 records the tests pin.
+    Both rungs start from the same seeds.
     """
+    seeds = _seed_roots(coeffs_mpc)
+    roots_init = None if seeds is None else [mp.mpc(z) for z in seeds]
     last_exc = None
     for extra in (60, 200):
         try:
-            return mp.polyroots(coeffs_mpc, maxsteps=200, extraprec=extra)
+            return mp.polyroots(
+                coeffs_mpc, maxsteps=200, extraprec=extra, roots_init=roots_init
+            )
         except NoConvergence as exc:
             last_exc = exc
     raise RootFindingError(
         f"root finding failed to converge for {label}; raise precision_bits"
     ) from last_exc
+
+
+def _horner_raw(coeffs, z, prec: int, rnd: str):
+    """Horner's rule on mpmath's raw tuples, rounding to prec bits in mode rnd.
+
+    coeffs are the mpf tuples of the coefficients, leading first, and z is
+    an mpc tuple.  mpc.__mul__ and mpc.__add__ make these same mpc_mul and
+    mpc_add_mpf calls, so the result is the mpc Horner's bit for bit,
+    without building a wrapper object per operation.
+    """
+    acc = (coeffs[0], fzero)
+    for c in coeffs[1:]:
+        acc = mpc_add_mpf(mpc_mul(acc, z, prec, rnd), c, prec, rnd)
+    return acc
 
 
 # Relative slack of the float screen in _near: converting mpc points to
@@ -381,6 +471,27 @@ def _near(z, zc: complex, pool: list, pool_c: list, threshold, threshold_c: floa
     return False
 
 
+# Relative slack of the float screen in _outside: abs(complex(z)) errs by a
+# few units of 2^-53 of |z|, far inside 2^-40.
+_ESCAPE_SLACK = 2.0**-40
+
+
+def _outside(z, zc: complex, radius, lo: float, hi: float) -> bool:
+    """Whether abs(z) > radius, decided in doubles where they suffice.
+
+    zc = complex(z), and lo and hi are float(radius) * (1 -+ _ESCAPE_SLACK).
+    abs(zc) below lo or above hi settles the answer; in the band between,
+    and for a NaN or inf abs(zc), the mp comparison does.  The answer is
+    the mp comparison's either way.
+    """
+    size = abs(zc)
+    if size < lo:
+        return False
+    if hi < size < math.inf:
+        return True
+    return abs(z) > radius
+
+
 def common_preper_depth_search(
     f: BinomialPoly,
     g: BinomialPoly,
@@ -395,6 +506,9 @@ def common_preper_depth_search(
     preimages of the short cycles, so roots come from f^c - x (exact
     squarefree part, numerical roots) followed by numerical preimage pulls,
     level by level; candidates closer than MERGE_TOL = 1e-20 are merged.
+    Every root call starts Durand-Kerner from roots found in double
+    precision (_poly_roots) and stops by mp.polyroots's own test, so the
+    roots are those of a cold start.
 
     A point is retained when its g-orbit stays inside g's escape radius R
     and, within 4*(max_pre + max_per) + 20 steps, revisits an earlier orbit
@@ -408,7 +522,10 @@ def common_preper_depth_search(
     first: it skips only pairs that are provably far apart, whose
     double-precision distance exceeds the threshold by more than a proven
     rounding bound.  Every other pair takes the mp comparison, so every
-    keep, drop and merge is the one an mp scan of every pair makes.
+    keep, drop and merge is the one an mp scan of every pair makes.  The
+    escape test |g(z)| > R is screened the same way, in doubles outside
+    R * (1 -+ 2^-40), and g runs Horner on mpmath's raw tuples with the
+    calls the mpc operators make, so each orbit point is the mpc value.
 
     precision_bits must be at least DEPTH_MIN_BITS = 96.  Below that the
     merge distance sits under the root-finding noise and attracting orbits
@@ -441,15 +558,9 @@ def common_preper_depth_search(
     with mp.workprec(precision_bits):
         tol_mp = mp.mpf(MERGE_TOL)
         f_coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(fm.coeffs)]
-        g_coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(gm.coeffs)]
+        # g's coefficients as raw mpf tuples, leading first, for _horner_raw
+        g_raw = [(mp.mpf(c.numerator) / c.denominator)._mpf_ for c in reversed(gm.coeffs)]
         g_rad = mp.mpf(g_radius.numerator) / g_radius.denominator
-
-        def g_eval(z):
-            acc = mp.mpc(g_coeffs[0])
-            for c in g_coeffs[1:]:
-                acc = acc * z + c
-            return acc
-
         # abs(z - w) in mp errs by a few units of 2^-p, so exact distances a
         # little above a threshold can still pass the mp test
         widen = 1 + 2.0 ** (3 - precision_bits)
@@ -497,16 +608,19 @@ def common_preper_depth_search(
         steps = 4 * (max_pre + max_per) + 20
         floor = g_rad * mp.ldexp(mp.mpf(1), -(7 * precision_bits // 8))
         floor_c = float(floor) * widen
+        prec, rnd = mp.mp._prec_rounding  # the pair mpc arithmetic rounds with
+        rad_lo = float(g_rad) * (1 - _ESCAPE_SLACK)
+        rad_hi = float(g_rad) * (1 + _ESCAPE_SLACK)
         retained = []
         for z, zc in zip(points, points_c):
             trail, trail_c = [z], [zc]
             cur = z
             keep = False
             for _ in range(steps):
-                cur = g_eval(cur)
-                if abs(cur) > g_rad:
-                    break
+                cur = mp.make_mpc(_horner_raw(g_raw, cur._mpc_, prec, rnd))
                 cur_c = complex(cur)
+                if _outside(cur, cur_c, g_rad, rad_lo, rad_hi):
+                    break
                 if _near(cur, cur_c, trail, trail_c, floor, floor_c):
                     keep = True
                     break

@@ -482,6 +482,26 @@ def test_near_screen_defers_unresolved_pairs_to_mp():
             assert dynamics._near(z, zc, [one], [wc], threshold, float(threshold))
 
 
+def test_outside_screen_defers_the_band_to_mp():
+    with mp.workprec(128):
+        radius = mp.mpf(5) / 2
+        lo = float(radius) * (1 - dynamics._ESCAPE_SLACK)
+        hi = float(radius) * (1 + dynamics._ESCAPE_SLACK)
+        # far from the radius the doubles decide; the None stand-in would
+        # raise if the mp comparison ran
+        assert not dynamics._outside(None, 2.4 + 0j, radius, lo, hi)
+        assert dynamics._outside(None, 2.6j, radius, lo, hi)
+        # inside the band only mp tells the points apart
+        for offset, outside in ((mp.ldexp(1, -100), True), (-mp.ldexp(1, -100), False)):
+            z = mp.mpc(radius + offset, 0)
+            assert complex(z) == complex(radius)
+            assert dynamics._outside(z, complex(z), radius, lo, hi) is outside
+        # NaN and inf fall through to mp
+        z = mp.mpc(radius - mp.ldexp(1, -100), 0)
+        for zc in (complex("nan"), complex("inf"), complex(0, float("inf"))):
+            assert not dynamics._outside(z, zc, radius, lo, hi)
+
+
 def test_depth_search_same_map_keeps_everything():
     rep = common_preper_depth_search(QUAD, QUAD, 1, 3)
     assert rep.count == 20
@@ -501,11 +521,11 @@ def test_depth_search_escalates_root_finding_precision(monkeypatch):
     real = dynamics.mp.polyroots
     tried = []
 
-    def late(coeffs, maxsteps, extraprec):
+    def late(coeffs, maxsteps, extraprec, roots_init=None):
         tried.append(extraprec)
         if extraprec < 200:
             raise NoConvergence("synthetic")
-        return real(coeffs, maxsteps=maxsteps, extraprec=extraprec)
+        return real(coeffs, maxsteps=maxsteps, extraprec=extraprec, roots_init=roots_init)
 
     monkeypatch.setattr(dynamics.mp, "polyroots", late)
     rep = common_preper_depth_search(QUAD, QUAD + 1, 2, 3)
@@ -520,10 +540,10 @@ def test_depth_search_takes_no_failed_root_finding_rung(monkeypatch):
     real = dynamics.mp.polyroots
     calls, failed = [], []
 
-    def counting(coeffs, maxsteps, extraprec):
+    def counting(coeffs, maxsteps, extraprec, roots_init=None):
         calls.append(extraprec)
         try:
-            return real(coeffs, maxsteps=maxsteps, extraprec=extraprec)
+            return real(coeffs, maxsteps=maxsteps, extraprec=extraprec, roots_init=roots_init)
         except NoConvergence:
             failed.append((len(coeffs) - 1, extraprec))
             raise
@@ -535,10 +555,137 @@ def test_depth_search_takes_no_failed_root_finding_rung(monkeypatch):
     assert failed == []
 
 
+def test_depth_search_warm_starts_every_root_call(monkeypatch):
+    # the double-precision seed pass converges, well separated, on every
+    # root call of T2's depth (4, 3) and of (4, 4)
+    real = dynamics.mp.polyroots
+    inits = []
+
+    def recording(coeffs, maxsteps, extraprec, roots_init=None):
+        inits.append(roots_init)
+        return real(coeffs, maxsteps=maxsteps, extraprec=extraprec, roots_init=roots_init)
+
+    monkeypatch.setattr(dynamics.mp, "polyroots", recording)
+    for max_pre, max_per in ((4, 3), (4, 4)):
+        assert common_preper_depth_search(QUAD, QUAD + 1, max_pre, max_per).count == 26
+    assert len(inits) == 83 + 180
+    assert all(init is not None for init in inits)
+
+
+def cold_roots(coeffs):
+    """The roots _poly_roots gave before its seed pass: cold starts on the same ladder."""
+    for extra in (60, 200):
+        try:
+            return mp.polyroots(coeffs, maxsteps=200, extraprec=extra)
+        except NoConvergence:
+            pass
+    raise AssertionError("cold start failed on both rungs")
+
+
+def assert_same_roots(warm, cold):
+    """Bit-equal roots, in the same order up to roots of equal |im|.
+
+    polyroots sorts by (|im|, re) before rounding to the working precision,
+    so roots whose |im| agree there, a conjugate pair above all, are ordered
+    by their guard bits, which the start moves.
+    """
+    def key(z):
+        return (mp.re(z), mp.im(z))
+
+    assert sorted(warm, key=key) == sorted(cold, key=key)
+    assert [abs(mp.im(w)) for w in warm] == [abs(mp.im(c)) for c in cold]
+
+
+def test_seed_roots_are_double_accurate():
+    with mp.workprec(128):
+        seeds = dynamics._seed_roots([mp.mpf(1)] + [mp.mpf(0)] * 7 + [mp.mpf(-1)])
+    assert len(seeds) == 8
+    for z in seeds:
+        assert abs(z**8 - 1) < 1e-14
+
+
+def test_seed_roots_rejects_a_double_root(monkeypatch):
+    # (x - 1)^2 converges in doubles to two roots a rounding apart;
+    # coincident starts would stay together under Durand-Kerner
+    coeffs = [mp.mpf(1), mp.mpf(-2), mp.mpf(1)]
+    assert dynamics._seed_roots(coeffs) is None
+    monkeypatch.setattr(dynamics, "_SEED_SEPARATION", 0.0)
+    seeds = dynamics._seed_roots(coeffs)
+    assert len(seeds) == 2 and all(abs(z - 1) < 1e-7 for z in seeds)
+
+
+def test_seed_roots_rejects_coefficients_beyond_doubles(monkeypatch):
+    with mp.workprec(128):
+        huge = mp.mpf("1e400")
+        coeffs = [mp.mpf(1), huge, mp.mpf(1)]
+        cold = cold_roots(coeffs)
+        # rejected before any Durand-Kerner sweep, which would call _l1
+        monkeypatch.setattr(dynamics, "_l1", None)
+        for bad in (coeffs, [1 / huge, 1, 1], [1, 1, mp.mpc(1, huge)]):
+            assert dynamics._seed_roots(bad) is None
+        # the cold start still finds the roots
+        assert_same_roots(dynamics._poly_roots(coeffs, "huge"), cold)
+
+
+def test_seed_roots_gives_up_when_its_budget_runs_out(monkeypatch):
+    coeffs = [mp.mpf(1), mp.mpf(-3), mp.mpf(5), mp.mpf(-7)]
+    with mp.workprec(128):
+        assert dynamics._seed_roots(coeffs) is not None
+        monkeypatch.setattr(dynamics, "_SEED_STEPS", 1)
+        assert dynamics._seed_roots(coeffs) is None
+        assert_same_roots(dynamics._poly_roots(coeffs, "budget"), cold_roots(coeffs))
+
+
+def squarefree_integer_polys(min_deg, max_deg, bound):
+    """Integer coefficient lists, leading first, of polynomials with distinct roots."""
+    return st.lists(
+        st.integers(-bound, bound), min_size=min_deg, max_size=max_deg
+    ).flatmap(
+        lambda rest: st.integers(1, bound).map(lambda lead: [lead] + rest)
+    ).filter(
+        lambda cs: poly_gcd(
+            RationalPoly(tuple(reversed(cs))), RationalPoly(tuple(reversed(cs))).derivative()
+        ).degree == 0
+    )
+
+
+@property_settings
+@given(coeffs=squarefree_integer_polys(2, 8, 30))
+@example(coeffs=[1, 0, 1])  # a conjugate pair on the imaginary axis
+@example(coeffs=[2, -7, 0, 0, 0, 0, 0, 0, 3])
+@example(coeffs=[1, -3, 3, -3, 2])  # (x - 1)(x - 2)(x^2 + 1)
+def test_poly_roots_match_cold_start(coeffs):
+    with mp.workprec(128):
+        mcoeffs = [mp.mpf(c) for c in coeffs]
+        assert_same_roots(dynamics._poly_roots(mcoeffs, "property"), cold_roots(mcoeffs))
+
+
+finite_parts = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@property_settings
+@given(
+    coeffs=st.lists(st.fractions(max_denominator=12), min_size=2, max_size=6),
+    re=finite_parts,
+    im=finite_parts,
+    bits=st.sampled_from((53, 96, 128, 256)),
+)
+def test_horner_raw_matches_mpc_horner(coeffs, re, im, bits):
+    with mp.workprec(bits):
+        cs = [mp.mpf(c.numerator) / c.denominator for c in coeffs]
+        z = mp.mpc(re, im) / 3
+        acc = mp.mpc(cs[0])
+        for c in cs[1:]:
+            acc = acc * z + c
+        prec, rnd = mp.mp._prec_rounding
+        raw = dynamics._horner_raw([c._mpf_ for c in cs], z._mpc_, prec, rnd)
+    assert raw == acc._mpc_
+
+
 def test_depth_search_raises_when_root_finding_never_converges(monkeypatch):
     tried = []
 
-    def never(coeffs, maxsteps, extraprec):
+    def never(coeffs, maxsteps, extraprec, roots_init=None):
         tried.append(extraprec)
         raise NoConvergence("synthetic")
 

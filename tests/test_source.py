@@ -94,3 +94,47 @@ def test_environment_scan_sees_reads(tmp_path):
     assert sorted(environment_reads(sample)) == [
         "sample.py:2 getenv", "sample.py:4 environ", "sample.py:5 getenv",
     ]
+
+
+def polyroots_call_sites(path: Path) -> list[str]:
+    """file:function for every call of polyroots (by attribute or bare name) in a file.
+
+    The function is the innermost one around the call; <module> outside any.
+    """
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
+            if name == "polyroots":
+                found.append(f"{path.name}:{scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return found
+
+
+def test_polyroots_has_one_call_site():
+    # every census root call goes through _poly_roots, so none skips its
+    # double-precision seed pass or its guard-bit ladder
+    assert [s for path in SOURCES for s in polyroots_call_sites(path)] == [
+        "dynamics.py:_poly_roots"
+    ]
+
+
+def test_polyroots_scan_sees_calls(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import mpmath as mp\nfrom mpmath import polyroots\n"
+        "def a(c):\n    return mp.polyroots(c)\n"
+        "def b(c):\n    def inner():\n        return mp.polyroots(c, maxsteps=9)\n    return inner()\n"
+        "def c(c):\n    return polyroots(c)\n"
+        "roots = polyroots([1, 0, -1])\n"
+    )
+    assert polyroots_call_sites(sample) == [
+        "sample.py:a", "sample.py:inner", "sample.py:c", "sample.py:<module>",
+    ]
