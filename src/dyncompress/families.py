@@ -6,16 +6,17 @@ style addition rule across d.  Interpolating a window of the pattern gives a
 family of polynomials (sign_poly) whose shifted translates (compressing_poly)
 map the integer window [1, d+6] into [1, d+5] (d even) or [1, d+4] (d odd),
 providing compression witnesses at every degree.
+
+The pattern is its own difference table: SIGN_BASE[m+1] - SIGN_BASE[m] =
+SIGN_BASE[m+2] (indices mod 6).  On [3, d+3] compressing_poly(d) is the
+pattern at x - 3 plus 2 (d even) or (d+3) - (x-3) (d odd), so its binomial
+coefficients at base 3, periodic_sign(2i, d) plus the line's, take O(d).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .polynomials import (
-    BinomialPoly,
-    RationalPoly,
-    interpolate,
-)
+from .polynomials import BinomialPoly, RationalPoly
 
 # one period of the pattern at d = 0, indexed by m mod 6
 SIGN_BASE = (1, 1, 0, -1, -1, 0)
@@ -78,13 +79,11 @@ def sign_poly(d: int) -> RationalPoly:
 def _sign_window_value(d: int, m: int) -> int:
     """sign_poly(d) evaluated at m - (d+1)/2, for integer m in [-2, d+3].
 
-    Inside [0, d] this is the sign pattern itself; the three points past
-    the right end follow closed forms, and negative m reflects by parity.
+    Inside [0, d+1] this is the sign pattern itself; the two points past
+    it follow closed forms, and negative m reflects by parity.
     """
-    if 0 <= m <= d:
+    if 0 <= m <= d + 1:
         return periodic_sign(m, d)
-    if m == d + 1:
-        return periodic_sign(d + 1, d)
     if m == d + 2:
         return periodic_sign(d + 2, d) + 1
     if m == d + 3:
@@ -106,14 +105,9 @@ def compressing_values(d: int, lo: int = 1, hi: int | None = None) -> list[int]:
         hi = d + 6
     if lo < 1 or hi > d + 6:
         raise ValueError("value shortcut only covers [1, d+6]")
-    out = []
-    for x in range(lo, hi + 1):
-        base = _sign_window_value(d, x - 3)
-        if d % 2 == 0:
-            out.append(base + 2)
-        else:
-            out.append(base - x + d + 6)
-    return out
+    if d % 2 == 0:
+        return [_sign_window_value(d, x - 3) + 2 for x in range(lo, hi + 1)]
+    return [_sign_window_value(d, x - 3) - x + d + 6 for x in range(lo, hi + 1)]
 
 
 def compressing_poly(d: int) -> RationalPoly:
@@ -132,6 +126,14 @@ def compressing_poly(d: int) -> RationalPoly:
 
 
 def compressing_poly_binomial(d: int) -> BinomialPoly:
-    """compressing_poly(d) in the binomial basis, via values at 1..d+1."""
-    vals = compressing_values(d, 1, min(d + 1, d + 6))
-    return interpolate(vals, 1)
+    """compressing_poly(d) in the binomial basis, in O(d) additions.
+
+    Since Delta^i of the pattern at m is the pattern at m + 2i, the
+    coefficients at base 3 are periodic_sign(2i, d) plus those of the line
+    2 (d even) or (d+3) - (x-3) (d odd); shift_argument(-3) re-bases them.
+    """
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    line = BinomialPoly((2,) if d % 2 == 0 else (d + 3, -1))
+    pattern = BinomialPoly(tuple(periodic_sign(2 * i, d) for i in range(d + 1)))
+    return (pattern + line).shift_argument(-3)

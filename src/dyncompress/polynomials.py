@@ -148,7 +148,7 @@ class BinomialPoly:
         The coefficients are the forward differences Delta^i f(0), so the
         shifted ones are Delta^i f(t): |t| Pascal steps of the difference
         table, O(|t| * deg) big-integer additions.  Every caller in the
-        package passes |t| <= 1.
+        package passes |t| <= 3; the compressing family re-bases from 3.
         """
         return BinomialPoly(tuple(_pascal_steps(list(self.coeffs), t)))
 
@@ -182,10 +182,8 @@ class BinomialPoly:
             other = BinomialPoly((other,))
         if not isinstance(other, BinomialPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return BinomialPoly(tuple(x + y for x, y in zip(a, b)))
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return BinomialPoly(tuple(x + y for x, y in pairs))
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -246,10 +244,8 @@ class RationalPoly:
             other = RationalPoly((_as_fraction(other),))
         if not isinstance(other, RationalPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return RationalPoly(tuple(x + y for x, y in zip(a, b)))
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return RationalPoly(tuple(x + y for x, y in pairs))
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -448,13 +444,13 @@ def _image_mod(f: RationalPoly, p: int) -> list[int] | None:
     """Coefficients of f modulo p, highest degree first.
 
     None when p divides a denominator (no image) or the leading coefficient
-    (the image drops degree).
+    (the image drops degree).  One inverse, of the denominators' lcm, serves.
     """
-    out = []
-    for c in reversed(f.coeffs):
-        if c.denominator % p == 0:
-            return None
-        out.append(c.numerator * pow(c.denominator, -1, p) % p)
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    if den % p == 0:
+        return None
+    inv = pow(den, -1, p)
+    out = [c.numerator * (den // c.denominator) * inv % p for c in reversed(f.coeffs)]
     return out if out[0] else None
 
 
@@ -494,21 +490,22 @@ def coprime_shifts_mod_p(
 ) -> list[bool]:
     """For each integer c in shifts, whether gcd(f - c, g) = 1 is proved mod p.
 
-    f and g are reduced once modulo a fixed prime p.  When p divides no
-    denominator and neither leading coefficient, reduction is a ring map
-    that keeps both degrees.  A common factor h of f - c and g over Q, made
-    primitive in Z[x], divides D(f - c) and D g in Z[x] by Gauss's lemma (D
-    the common denominator, prime to p), so its leading coefficient divides
-    that of D(f - c) and h keeps its degree mod p: deg gcd
-    over F_p >= deg gcd over Q (the lucky-prime lemma of modular gcds; von
+    f and g are reduced once modulo a fixed prime p, with one inverse each.
+    When p divides no denominator and neither leading coefficient, reduction
+    is a ring map that keeps both degrees.  A common factor h of f - c and g
+    over Q, made primitive in Z[x], divides D(f - c) and D g in Z[x] by
+    Gauss's lemma (D the common denominator, prime to p), so its leading
+    coefficient divides that of D(f - c) and h keeps its degree mod p: deg
+    gcd over F_p >= deg gcd over Q (the lucky-prime lemma of modular gcds; von
     zur Gathen and Gerhard, Modern Computer Algebra, ch. 6).  A True entry is
     therefore a proof of coprimality over Q.  A False entry proves nothing:
     p divides a denominator or a leading coefficient, or the images share a
     factor, possibly one that exists only mod p.  Decide those exactly.
 
-    One Euclid decides a whole set S of shifts.  With r = f mod g in F_p[x],
-    f - c = r - c mod g, and over a field gcd(prod (r - c), g) = 1 exactly
-    when every gcd(r - c, g) = 1.  The product over S is P(r) in F_p[x]/(g),
+    One Euclid decides a whole set S of shifts.  With r = f mod g in F_p[x]
+    (a long division: deg f - deg g + 1 rows, two when g = f'), f - c =
+    r - c mod g, and over a field gcd(prod (r - c), g) = 1 exactly when
+    every gcd(r - c, g) = 1.  The product over S is P(r) in F_p[x]/(g),
     P(y) = prod (y - c), evaluated by Paterson and Stockmeyer (SIAM J.
     Comput. 1973).  Expanding P costs about n^2 operations for n = |S|,
     which outgrows the n m^2 of a product per shift when n > m^2 (m =
@@ -548,10 +545,10 @@ def coprime_shifts_mod_p(
             cols.append(times_x(cols[-1]))
         return cols
 
-    r = [0] * m
-    for c in fa:  # Horner: r = f mod g
-        r = times_x(r)
-        r[0] = (r[0] + c) % p
+    r = fa[::-1] + [0] * (m - len(fa))
+    for i in range(len(r) - 1, m - 1, -1):  # r = f mod g, by long division
+        r[i - m : i] = [(a - r[i] * t) % p for a, t in zip(r[i - m : i], tail)]
+    del r[m:]
     # a block of b shifts costs about b^2 + 2 sqrt(b) m^2 operations, and
     # b + 2 m^2 / sqrt(b) per shift is least near b = m^(4/3)
     block = max(4, round(m ** (4 / 3)))

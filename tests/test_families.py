@@ -1,6 +1,9 @@
 """Periodic sign sequence and the central-factorial / sign / compressing families."""
 from fractions import Fraction
 
+import pytest
+
+from dyncompress.compression import CompressionWitness, check_window
 from dyncompress.families import (
     SIGN_BASE,
     central_factorial_poly,
@@ -10,7 +13,7 @@ from dyncompress.families import (
     periodic_sign,
     sign_poly,
 )
-from dyncompress.polynomials import RationalPoly, centered_difference
+from dyncompress.polynomials import RationalPoly, centered_difference, interpolate
 
 
 def test_sign_base_row():
@@ -170,3 +173,31 @@ def test_compressing_poly_binomial_agrees():
         assert b.degree == d
         for x in range(1, d + 7):
             assert b(x) == r(x)
+
+
+def test_sign_base_is_its_own_difference():
+    # Delta SIGN_BASE[m] = SIGN_BASE[m + 2]: the rule behind the closed form
+    for m in range(6):
+        assert SIGN_BASE[(m + 1) % 6] - SIGN_BASE[m] == SIGN_BASE[(m + 2) % 6]
+
+
+def test_compressing_poly_binomial_matches_interpolation_oracle():
+    # the closed form against the forward-difference interpolation of its
+    # values on [1, d+1], the construction it replaced
+    for d in range(0, 401):
+        oracle = interpolate(compressing_values(d, 1, d + 1), 1)
+        assert compressing_poly_binomial(d) == oracle
+
+
+def test_compressing_poly_binomial_rejects_negative_degree():
+    for d in (-1, -2, -7):
+        with pytest.raises(ValueError):
+            compressing_poly_binomial(d)
+
+
+@pytest.mark.parametrize("d", [1000, 2000])
+def test_compressing_poly_binomial_window_at_large_degree(d):
+    n = d + 5 if d % 2 == 0 else d + 4
+    w = check_window(compressing_poly_binomial(d), d + 6, n)
+    assert isinstance(w, CompressionWitness)
+    assert list(w.values) == compressing_values(d)

@@ -346,6 +346,21 @@ def image_mod(f, p):
     return out if out[0] else None
 
 
+@kernel_settings
+@given(
+    p=st.sampled_from([2, 3, 7, 2**61 - 1]),
+    f=small_rational_polys.filter(lambda f: bool(f.coeffs)),
+)
+@example(p=3, f=RationalPoly((Fraction(1), Fraction(2, 3), Fraction(5))))
+@example(p=7, f=RationalPoly((Fraction(1, 2), Fraction(3), Fraction(14, 5))))
+@example(p=2, f=RationalPoly((Fraction(1, 3), Fraction(5, 7), Fraction(1, 4))))
+def test_image_mod_matches_per_coefficient_inverses(p, f):
+    # one inverse of the denominators' lcm against one inverse per coefficient;
+    # the examples put p in a denominator, in the leading numerator, and in
+    # the leading denominator
+    assert polynomials._image_mod(f, p) == image_mod(f, p)
+
+
 def coprime_shifts_by_monic_euclid(f, g, shifts, p):
     """coprime_shifts_mod_p's reference: one monic Euclid on f - c and g per shift."""
     fa, gb = image_mod(f, p), image_mod(g, p)
@@ -368,8 +383,14 @@ def coprime_shifts_by_monic_euclid(f, g, shifts, p):
 )
 @example(p=7, f=RationalPoly.x() * RationalPoly.x(), g=RationalPoly.x().scale(2),
          shifts=[0, 0, 7, -7, 1, 8, 15])
+@example(p=2**61 - 1,
+         f=RationalPoly(tuple(Fraction(c, 6) for c in (5, -3, 0, 7, 1, -2, 9))),
+         g=RationalPoly((Fraction(-2), Fraction(1, 2), Fraction(3))),
+         shifts=[0, 1, -4, 9])
 def test_coprime_shifts_mod_p_matches_per_shift_euclid(p, f, g, shifts):
-    # g may be constant or of degree >= deg f; shifts repeat, go negative or past p
+    # g has degree 0..10, below, equal to or above deg f (1..6), so f mod g
+    # takes zero, one or several division rows (the second example: deg f = 6,
+    # deg g = 2); shifts repeat, go negative or past p
     with mock.patch.object(polynomials, "_PRIME", p):
         got = coprime_shifts_mod_p(f, g, shifts)
     assert got == coprime_shifts_by_monic_euclid(f, g, shifts, p)
