@@ -28,7 +28,8 @@ from .tables import verify_tables
 
 
 def _echo_json(payload) -> None:
-    click.echo(json.dumps(payload, indent=2))
+    """Standard JSON only: a NaN or infinity raises instead of printing `Infinity`."""
+    click.echo(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def _load_poly(path: str):

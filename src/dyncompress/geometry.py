@@ -10,8 +10,10 @@ floating point on top of exact integer matrices.
 """
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 import mpmath as mp
@@ -67,6 +69,7 @@ class MinkowskiReport:
     sigmas: tuple[float, ...]
 
     def to_json(self) -> dict:
+        """JSON-ready dict; pairs in full decimal, sigma past the double range as None."""
         return {
             "d": self.d,
             "k": self.k,
@@ -74,8 +77,9 @@ class MinkowskiReport:
             "log_volume": self.log_volume,
             "log_threshold": self.log_threshold,
             "holds": self.holds,
-            "pairs": str(self.pairs),
-            "sigmas": list(self.sigmas),
+            # str(int) refuses past sys.get_int_max_str_digits(); Decimal has no limit
+            "pairs": str(decimal.Decimal(self.pairs)),
+            "sigmas": [s if math.isfinite(s) else None for s in self.sigmas],
         }
 
 
@@ -120,10 +124,10 @@ def resolve_precision(precision_bits: Optional[int], d: int, k: int) -> int:
 def _gram_eigenvalues(rows: Sequence[Sequence[int]], prec_bits: int) -> list:
     """Eigenvalues of M*M^T (exact integer Gram) as mpf, descending."""
     m = len(rows)
-    gram = [
-        [sum(a * b for a, b in zip(rows[i], rows[j])) for j in range(m)]
-        for i in range(m)
-    ]
+    gram = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            gram[i][j] = gram[j][i] = sum(map(mul, rows[i], rows[j]))
     with mp.workprec(prec_bits):
         a = mp.matrix(m, m)
         for i in range(m):
@@ -187,20 +191,21 @@ def build_ellipsoid(
     # the matrix has k-1 rows; rank caps the computed values at d+1
     sig = sig + [mp.mpf(0)] * (k - 1 - len(sig))
     with mp.workprec(prec):
-        # radius i is half_span / max(sigma_i, 1), so every radius past the
-        # k - 1 singular values, and any with sigma_i <= 1, is half_span
+        # radius i is half_span / max(sigma_i, 1); sig descends, so the radii
+        # with sigma_i > 1 come first and the other `plain` all equal half_span
         half_span = mp.mpf(d + ell - 1) / 2
         log_half_span = mp.log(half_span)
-        log_radii = [mp.log(half_span / s) if s > 1 else log_half_span for s in sig[: d + 1]]
-        log_radii += [log_half_span] * (d + 1 - len(log_radii))
+        shaped = [mp.log(half_span / s) for s in sig if s > 1]
+        plain = d + 1 - len(shaped)
         half_dim = mp.mpf(d + 1) / 2
-        log_vol = sum(log_radii, half_dim * mp.log(mp.pi) - mp.loggamma(half_dim + 1))
+        log_vol = sum(shaped, half_dim * mp.log(mp.pi) - mp.loggamma(half_dim + 1))
+        log_vol += plain * log_half_span
         return Ellipsoid(
             d=d,
             k=k,
             ell=ell,
             sigmas=tuple(float(s) for s in sig),
-            log_radii=tuple(float(x) for x in log_radii),
+            log_radii=tuple(float(x) for x in shaped) + (float(log_half_span),) * plain,
             log_volume=float(log_vol),
         )
 

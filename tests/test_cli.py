@@ -1,4 +1,5 @@
 """End-to-end CLI checks: output shapes, exit codes, option validation."""
+import decimal
 import json
 
 import mpmath
@@ -7,7 +8,8 @@ from click.testing import CliRunner
 from mpmath.libmp.libhyper import NoConvergence
 
 import dyncompress.sweep as sweep_mod
-from dyncompress.cli import main
+from dyncompress.cli import _echo_json, main
+from dyncompress.geometry import minkowski_check
 from dyncompress.polynomials import BinomialPoly, poly_to_json
 
 QUAD = BinomialPoly((11, -4, 1))
@@ -153,6 +155,28 @@ def test_volume_command(runner):
     res = runner.invoke(main, ["volume", "-d", "256", "--ell", "2"])
     assert res.exit_code == 0
     assert json.loads(res.output)["holds"] is True
+
+
+def _no_constants(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_volume_command_pairs_past_int_str_limit(runner):
+    # pairs has about 4350 digits here, past str(int)'s default 4300
+    res = runner.invoke(main, ["volume", "-d", "3000", "--ell", "2"])
+    assert res.exit_code == 0, res.output
+    out = json.loads(res.output, parse_constant=_no_constants)
+    assert decimal.Decimal(out["pairs"]) == minkowski_check(3000, 2).pairs
+
+
+def test_volume_command_prints_standard_json(runner):
+    # sigma overflows the double range past d = 1024 and is written as null
+    res = runner.invoke(main, ["volume", "-d", "1100", "--ell", "2"])
+    assert res.exit_code == 0, res.output
+    out = json.loads(res.output, parse_constant=_no_constants)
+    assert out["sigmas"] == [None]
+    with pytest.raises(ValueError):
+        _echo_json({"x": float("inf")})
 
 
 def test_preimage_count_command(runner, quad_file):

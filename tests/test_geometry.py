@@ -1,4 +1,6 @@
 """Extrapolation matrix, norms, singular values, and ellipsoid volumes."""
+import hashlib
+import json
 import math
 import random
 
@@ -7,6 +9,7 @@ import pytest
 
 import dyncompress.geometry as geometry
 from dyncompress.geometry import (
+    MinkowskiReport,
     build_ellipsoid,
     build_interpolation_matrix,
     default_extension,
@@ -153,6 +156,32 @@ def test_ellipsoid_volume_decomposition():
         assert e.log_volume - sum(e.log_radii) == pytest.approx(unit, abs=1e-10)
 
 
+def _per_radius_ellipsoid(d, k, ell):
+    """(log_radii, log_volume) with one log and one float per radius, O(d) mpf sums."""
+    prec = resolve_precision(None, d, k)
+    sig = singular_values(build_interpolation_matrix(d, k).entries, prec)
+    sig = sig + [mp.mpf(0)] * (k - 1 - len(sig))
+    with mp.workprec(prec):
+        half_span = mp.mpf(d + ell - 1) / 2
+        log_half_span = mp.log(half_span)
+        log_radii = [mp.log(half_span / s) if s > 1 else log_half_span for s in sig[: d + 1]]
+        log_radii += [log_half_span] * (d + 1 - len(log_radii))
+        half_dim = mp.mpf(d + 1) / 2
+        log_vol = sum(log_radii, half_dim * mp.log(mp.pi) - mp.loggamma(half_dim + 1))
+        return tuple(float(x) for x in log_radii), float(log_vol)
+
+
+@pytest.mark.parametrize("d", [2, 7, 50, 300, 1024])
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_ellipsoid_matches_per_radius_sum(d, k):
+    # the trailing radii enter as one product; the floats must not move
+    for ell in range(2, k + 1):
+        e = build_ellipsoid(d, k, ell)
+        log_radii, log_volume = _per_radius_ellipsoid(d, k, ell)
+        assert e.log_radii == log_radii
+        assert e.log_volume == log_volume
+
+
 def test_ellipsoid_monotone_in_ell():
     vols = [ellipsoid_log_volume(6, 6, ell) for ell in range(2, 7)]
     assert all(a < b for a, b in zip(vols, vols[1:]))
@@ -180,6 +209,40 @@ def test_minkowski_first_admissible_degree_holds():
     assert r.holds
     assert r.log_volume > r.log_threshold
     assert r.pairs > 0
+
+
+@pytest.mark.parametrize(
+    "d, log_volume, sigma, digest",
+    [
+        pytest.param(
+            256, 719.7719723255252, 4.343426936196531e76,
+            "bcc85d68ee38e0f8155aac21518301fd6c711918a1e2f87e79377f40d637cc9d",
+            id="d256",
+        ),
+        pytest.param(
+            1024, 3584.3204247474587, 4.772551677822941e307,
+            "d8c79b0a3e025ef820a262aaf62802b20282ba2d03360eb28cf1283d2eea4037",
+            id="d1024",
+        ),
+    ],
+)
+def test_minkowski_json_pinned(d, log_volume, sigma, digest):
+    # bytes of the volume command's output as the per-radius sum produced them
+    j = minkowski_check(d, 2).to_json()
+    assert (j["log_volume"], j["sigmas"]) == (log_volume, [sigma])
+    text = json.dumps(j, indent=2, allow_nan=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_minkowski_json_huge_pairs_and_infinite_sigma():
+    pairs = 7 * 10**5000 + 1
+    r = MinkowskiReport(
+        d=1, k=3, ell=2, log_volume=1.0, log_threshold=0.5, holds=True,
+        pairs=pairs, sigmas=(math.inf, 2.5),
+    )
+    j = r.to_json()
+    assert j["pairs"] == "7" + "0" * 4999 + "1"
+    assert j["sigmas"] == [None, 2.5]
 
 
 def test_minkowski_domain_guard():
