@@ -25,12 +25,24 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 import mpmath as mp
-from mpmath.libmp import fzero, mpc_add_mpf, mpc_mul
+from mpmath.libmp import (
+    fzero,
+    mpc_add_mpf,
+    mpc_mul,
+    mpf_abs,
+    mpf_add,
+    mpf_gt,
+    mpf_le,
+    mpf_mul,
+    mpf_sub,
+    to_float,
+)
 from mpmath.libmp.libhyper import NoConvergence
 
 from .compression import CompressionWitness, check_window
@@ -391,8 +403,16 @@ def _seed_roots(coeffs) -> Optional[list]:
     return roots
 
 
+# The guard-bit ladder of _poly_roots; _quadratic_pull works at the first rung.
+_GUARD_BITS = (60, 200)
+
+
 def _poly_roots(coeffs_mpc, label: str):
     """mp.polyroots from double-precision starts, with escalating precision.
+
+    The depth census calls it for its cycle polynomials and for the
+    preimage pulls of a map of degree 3 or more; a quadratic's pulls take
+    _quadratic_pull, which returns these roots in closed form.
 
     _seed_roots supplies starts accurate to double precision, and from them
     Durand-Kerner converges in 3 steps at 60 guard bits, where the cold
@@ -416,7 +436,7 @@ def _poly_roots(coeffs_mpc, label: str):
     seeds = _seed_roots(coeffs_mpc)
     roots_init = None if seeds is None else [mp.mpc(z) for z in seeds]
     last_exc = None
-    for extra in (60, 200):
+    for extra in _GUARD_BITS:
         try:
             return mp.polyroots(
                 coeffs_mpc, maxsteps=200, extraprec=extra, roots_init=roots_init
@@ -426,6 +446,49 @@ def _poly_roots(coeffs_mpc, label: str):
     raise RootFindingError(
         f"root finding failed to converge for {label}; raise precision_bits"
     ) from last_exc
+
+
+def _quadratic_pull(a, b):
+    """pull(k): the roots of a z^2 + b z + k as _poly_roots([a, b, k]) returns them.
+
+    Called at the working precision p, as pull is; a and b are real mpf.
+    The roots come from the stable quadratic formula at p + 60 bits, the
+    guard bits of _poly_roots' first rung, where mp.polyroots converges on
+    the monic a z^2 + b z + k: with h = b/(2a) and s = sqrt(h^2 - k/a),
+    z1 = -h - s when re h re s >= 0 and -h + s otherwise, so the sum does
+    not cancel, and z2 = (k/a)/z1 (both roots are 0 when k = h = 0).
+    mp.polyroots's cleanup and sort follow at p + 60 before the roots round
+    to p: a root with |z| below eps at p becomes mpf 0, one with |im z|
+    below eps becomes real and one with |re z| below eps imaginary, sorted
+    by (|im|, re).  Over the 793 pulls of eleven censuses (the record
+    quadratic at six depths and precisions, x^2 - 2 at five depths) and
+    3,000 random quadratics with rational coefficients at 96-256 bits,
+    every root was polyroots's bit for bit; only roots of equal |im| came
+    in the other order.  A double root other than 0 is the exception: both
+    methods place it to about half the bits, each differently.
+    """
+    tol = +mp.eps
+    with mp.extraprec(_GUARD_BITS[0]):
+        h = b / (2 * a)
+        hh = h * h
+
+    def pull(k):
+        with mp.extraprec(_GUARD_BITS[0]):
+            q = k / a
+            s = mp.sqrt(hh - q)
+            z1 = -h - s if h * s.real >= 0 else -h + s
+            roots = [z1, q / z1] if z1 else [z1, z1]
+            for i, z in enumerate(roots):
+                if abs(z) < tol:
+                    roots[i] = mp.mpf(0)
+                elif abs(z.imag) < tol:
+                    roots[i] = z.real
+                elif abs(z.real) < tol:
+                    roots[i] = z.imag * 1j
+            roots.sort(key=lambda z: (abs(z.imag), z.real))
+        return [+z for z in roots]
+
+    return pull
 
 
 def _horner_raw(coeffs, z, prec: int, rnd: str):
@@ -439,6 +502,19 @@ def _horner_raw(coeffs, z, prec: int, rnd: str):
     acc = (coeffs[0], fzero)
     for c in coeffs[1:]:
         acc = mpc_add_mpf(mpc_mul(acc, z, prec, rnd), c, prec, rnd)
+    return acc
+
+
+def _horner_real(coeffs, x, prec: int, rnd: str):
+    """_horner_raw at a real point: x is an mpf tuple, and so is the result.
+
+    While every imaginary part is exactly zero, mpc_mul and mpc_add_mpf
+    reduce to mpf_mul and mpf_add at the same (prec, rnd), so the result is
+    the real part of _horner_raw's, bit for bit, whose imaginary part is 0.
+    """
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = mpf_add(mpf_mul(acc, x, prec, rnd), c, prec, rnd)
     return acc
 
 
@@ -471,6 +547,35 @@ def _near(z, zc: complex, pool: list, pool_c: list, threshold, threshold_c: floa
     return False
 
 
+def _near_real(
+    x, xf: float, trail, trail_f, ordered, top: float, threshold, threshold_c: float, prec, rnd
+) -> bool:
+    """_near for real points: whether some trail point y has |x - y| <= threshold.
+
+    x, threshold and the trail are mpf tuples, xf and trail_f their floats,
+    ordered is trail_f sorted, and top is max |trail_f|.  Every per-pair
+    screen bound of _near is at most reach = base + _SCREEN_SLACK * top, so
+    when no float lies within xf -+ 2 reach, every pair is farther apart
+    than its bound and the answer is False.  The factor 2 covers the
+    rounding of the window ends, which is below 2^-52 |xf|, far under
+    reach.  Otherwise the trail takes _near's per-pair screen and the mp
+    comparison |x - y| <= threshold on the tuples (mpc's subtraction and
+    abs reduce to mpf_sub and mpf_abs on real points).  A NaN window end
+    fails the emptiness test, so the scan decides then too.
+    """
+    base = threshold_c + _SCREEN_SLACK * (abs(xf) + threshold_c + 1)
+    reach = 2 * (base + _SCREEN_SLACK * top)
+    i = bisect_left(ordered, xf - reach)
+    if i == len(ordered) or ordered[i] > xf + reach:
+        return False
+    for y, yf in zip(trail, trail_f):
+        if abs(xf - yf) > base + _SCREEN_SLACK * abs(yf):
+            continue
+        if mpf_le(mpf_abs(mpf_sub(x, y, prec, rnd)), threshold):
+            return True
+    return False
+
+
 # Relative slack of the float screen in _outside: abs(complex(z)) errs by a
 # few units of 2^-53 of |z|, far inside 2^-40.
 _ESCAPE_SLACK = 2.0**-40
@@ -492,6 +597,86 @@ def _outside(z, zc: complex, radius, lo: float, hi: float) -> bool:
     return abs(z) > radius
 
 
+class _Retention:
+    """The census's retention test for one map g at one working precision.
+
+    A candidate is kept when its g-orbit stays inside the escape radius R
+    and, within steps steps, revisits an earlier orbit point within
+    R * 2^-floor(7p/8).  keeps runs keeps_real on a candidate whose
+    imaginary part is exactly 0 (g has real coefficients, so its orbit
+    stays on the real axis) and keeps_complex on any other; on a real start
+    both give the same answer.
+    """
+
+    def __init__(self, gm: RationalPoly, precision_bits: int, steps: int, widen: float):
+        """The test for g = gm, built inside mp.workprec(precision_bits).
+
+        widen is the relative margin by which an mp distance can exceed its
+        float image.
+        """
+        radius_q = escape_radius(gm)
+        self.radius = mp.mpf(radius_q.numerator) / radius_q.denominator
+        self.floor = self.radius * mp.ldexp(mp.mpf(1), -(7 * precision_bits // 8))
+        self.floor_c = float(self.floor) * widen
+        # the float escape screen of _outside
+        self.lo = float(self.radius) * (1 - _ESCAPE_SLACK)
+        self.hi = float(self.radius) * (1 + _ESCAPE_SLACK)
+        # g's coefficients as raw mpf tuples, leading first, and the
+        # (prec, rounding) pair mpc arithmetic rounds with
+        self.g_raw = [(mp.mpf(c.numerator) / c.denominator)._mpf_ for c in reversed(gm.coeffs)]
+        self.prec, self.rnd = mp.mp._prec_rounding
+        self.steps = steps
+
+    def keeps(self, z, zc: complex) -> bool:
+        """Whether the census keeps candidate z (an mpc, zc = complex(z))."""
+        re, im = z._mpc_
+        if im == fzero:
+            return self.keeps_real(re, zc.real)
+        return self.keeps_complex(z, zc)
+
+    def keeps_complex(self, z, zc: complex) -> bool:
+        """The retention loop in mpc values: Horner on raw tuples, _outside, _near."""
+        g_raw, prec, rnd = self.g_raw, self.prec, self.rnd
+        radius, lo, hi, floor, floor_c = self.radius, self.lo, self.hi, self.floor, self.floor_c
+        trail, trail_c = [z], [zc]
+        cur = z
+        for _ in range(self.steps):
+            cur = mp.make_mpc(_horner_raw(g_raw, cur._mpc_, prec, rnd))
+            cur_c = complex(cur)
+            if _outside(cur, cur_c, radius, lo, hi):
+                return False
+            if _near(cur, cur_c, trail, trail_c, floor, floor_c):
+                return True
+            trail.append(cur)
+            trail_c.append(cur_c)
+        return False
+
+    def keeps_real(self, x, xf: float) -> bool:
+        """keeps_complex for the real start x (an mpf tuple, xf its float), in mpf tuples.
+
+        Each step is keeps_complex's: _horner_real, _outside's float screen
+        with its mp fallback applied to |x|, and _near_real.
+        """
+        g_raw, prec, rnd = self.g_raw, self.prec, self.rnd
+        radius, lo, hi = self.radius._mpf_, self.lo, self.hi
+        floor, floor_c = self.floor._mpf_, self.floor_c
+        trail, trail_f, ordered = [x], [xf], [xf]
+        top = abs(xf)
+        for _ in range(self.steps):
+            x = _horner_real(g_raw, x, prec, rnd)
+            xf = to_float(x, rnd=rnd)
+            size = abs(xf)
+            if not size < lo and (hi < size < math.inf or mpf_gt(mpf_abs(x), radius)):
+                return False
+            if _near_real(x, xf, trail, trail_f, ordered, top, floor, floor_c, prec, rnd):
+                return True
+            trail.append(x)
+            trail_f.append(xf)
+            insort(ordered, xf)
+            top = max(top, size)
+        return False
+
+
 def common_preper_depth_search(
     f: BinomialPoly,
     g: BinomialPoly,
@@ -506,9 +691,12 @@ def common_preper_depth_search(
     preimages of the short cycles, so roots come from f^c - x (exact
     squarefree part, numerical roots) followed by numerical preimage pulls,
     level by level; candidates closer than MERGE_TOL = 1e-20 are merged.
-    Every root call starts Durand-Kerner from roots found in double
-    precision (_poly_roots) and stops by mp.polyroots's own test, so the
-    roots are those of a cold start.
+    The cycle polynomials, and the pulls of a map of degree 3 or more, go
+    to _poly_roots: Durand-Kerner from roots found in double precision,
+    stopped by mp.polyroots's own test, so the roots are those of a cold
+    start.  A quadratic's pulls take the stable quadratic formula
+    (_quadratic_pull), which gives the same roots, up to the order of roots
+    of equal |im|.
 
     A point is retained when its g-orbit stays inside g's escape radius R
     and, within 4*(max_pre + max_per) + 20 steps, revisits an earlier orbit
@@ -526,6 +714,11 @@ def common_preper_depth_search(
     escape test |g(z)| > R is screened the same way, in doubles outside
     R * (1 -+ 2^-40), and g runs Horner on mpmath's raw tuples with the
     calls the mpc operators make, so each orbit point is the mpc value.
+    A candidate whose imaginary part is exactly 0 stays on the real axis
+    under g and iterates in mpf tuples (_Retention.keeps_real): the same
+    points, and a sorted copy of the trail's floats skips the revisit scan
+    when no trail point is near, so it keeps or drops what the complex loop
+    does.
 
     precision_bits must be at least DEPTH_MIN_BITS = 96.  Below that the
     merge distance sits under the root-finding noise and attracting orbits
@@ -553,14 +746,10 @@ def common_preper_depth_search(
         )
     fm = f.to_monomial()
     gm = g.to_monomial()
-    g_radius = escape_radius(gm)
 
     with mp.workprec(precision_bits):
         tol_mp = mp.mpf(MERGE_TOL)
         f_coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(fm.coeffs)]
-        # g's coefficients as raw mpf tuples, leading first, for _horner_raw
-        g_raw = [(mp.mpf(c.numerator) / c.denominator)._mpf_ for c in reversed(gm.coeffs)]
-        g_rad = mp.mpf(g_radius.numerator) / g_radius.denominator
         # abs(z - w) in mp errs by a few units of 2^-p, so exact distances a
         # little above a threshold can still pass the mp test
         widen = 1 + 2.0 ** (3 - precision_bits)
@@ -592,12 +781,16 @@ def common_preper_depth_search(
 
         # levels 1..max_pre: numerical preimages of the previous level
         frontier = list(points)
+        quadratic = _quadratic_pull(*f_coeffs[:2]) if fm.degree == 2 else None
         for _a in range(1, max_pre + 1):
             new_frontier = []
             for w in frontier:
-                shifted = list(f_coeffs)
-                shifted[-1] = shifted[-1] - w
-                for z in _poly_roots(shifted, f"preimage level {_a}"):
+                k = f_coeffs[-1] - w
+                if quadratic is None:
+                    roots = _poly_roots(f_coeffs[:-1] + [k], f"preimage level {_a}")
+                else:
+                    roots = quadratic(k)
+                for z in roots:
                     z = mp.mpc(z)
                     if dedup_add(z):
                         new_frontier.append(z)
@@ -605,29 +798,8 @@ def common_preper_depth_search(
             frontier = new_frontier
 
         # retention: g-orbit must stay bounded and revisit at the noise floor
-        steps = 4 * (max_pre + max_per) + 20
-        floor = g_rad * mp.ldexp(mp.mpf(1), -(7 * precision_bits // 8))
-        floor_c = float(floor) * widen
-        prec, rnd = mp.mp._prec_rounding  # the pair mpc arithmetic rounds with
-        rad_lo = float(g_rad) * (1 - _ESCAPE_SLACK)
-        rad_hi = float(g_rad) * (1 + _ESCAPE_SLACK)
-        retained = []
-        for z, zc in zip(points, points_c):
-            trail, trail_c = [z], [zc]
-            cur = z
-            keep = False
-            for _ in range(steps):
-                cur = mp.make_mpc(_horner_raw(g_raw, cur._mpc_, prec, rnd))
-                cur_c = complex(cur)
-                if _outside(cur, cur_c, g_rad, rad_lo, rad_hi):
-                    break
-                if _near(cur, cur_c, trail, trail_c, floor, floor_c):
-                    keep = True
-                    break
-                trail.append(cur)
-                trail_c.append(cur_c)
-            if keep:
-                retained.append(z)
+        retention = _Retention(gm, precision_bits, 4 * (max_pre + max_per) + 20, widen)
+        retained = [z for z, zc in zip(points, points_c) if retention.keeps(z, zc)]
 
         retained.sort(key=lambda z: (mp.re(z), mp.im(z)))
         out_points = tuple((float(mp.re(z)), float(mp.im(z))) for z in retained)

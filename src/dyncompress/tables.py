@@ -234,9 +234,12 @@ def verify_tables(selector=("T1", "T2", "T3")) -> list[TableReport]:
     """Recompute and compare every selected bundled table; exact comparisons.
 
     T2's d = 2 entry is a numerical depth-search lower bound and is compared
-    with >=; everything else must match exactly.
+    with >=; everything else must match exactly.  An empty selector raises
+    ValueError, since it would pass without checking any table.
     """
     check_data_integrity()
+    if not selector:
+        raise ValueError("no table selected; valid ids are T1, T2, T3")
     known = {"T1": _verify_t1, "T2": _verify_t2, "T3": _verify_t3}
     bad = [s for s in selector if s not in known]
     if bad:

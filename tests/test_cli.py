@@ -246,6 +246,14 @@ def test_verify_tables_command(runner):
     assert runner.invoke(main, ["verify-tables", "--tables", "T7"]).exit_code == 2
 
 
+@pytest.mark.parametrize("spelling", ["", " , "])
+def test_verify_tables_command_rejects_an_empty_selection(runner, spelling):
+    # no table left after splitting: a usage error, not an empty passing list
+    res = runner.invoke(main, ["verify-tables", "--tables", spelling])
+    assert res.exit_code == 2
+    assert "no table selected" in res.output
+
+
 def _write_poly(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))

@@ -2,12 +2,14 @@
 import functools
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from mpmath.libmp import fzero
 from mpmath.libmp.libhyper import NoConvergence
 
 import dyncompress.dynamics as dynamics
@@ -536,7 +538,9 @@ def test_depth_search_escalates_root_finding_precision(monkeypatch):
 
 def test_depth_search_takes_no_failed_root_finding_rung(monkeypatch):
     # a rung that cannot converge costs its whole step budget; at T2's
-    # depth (4, 3) and at (4, 4) the first rung converges on every call
+    # depth (4, 3) and at (4, 4) the first rung converges on every call.
+    # Only the cycle polynomials reach mp.polyroots, 3 and 4 of them: the
+    # quadratic's preimage pulls take the closed form
     real = dynamics.mp.polyroots
     calls, failed = [], []
 
@@ -551,13 +555,14 @@ def test_depth_search_takes_no_failed_root_finding_rung(monkeypatch):
     monkeypatch.setattr(dynamics.mp, "polyroots", counting)
     for max_pre, max_per in ((4, 3), (4, 4)):
         assert common_preper_depth_search(QUAD, QUAD + 1, max_pre, max_per).count == 26
-    assert len(calls) == 83 + 180
+    assert len(calls) == 3 + 4
     assert failed == []
 
 
 def test_depth_search_warm_starts_every_root_call(monkeypatch):
     # the double-precision seed pass converges, well separated, on every
-    # root call of T2's depth (4, 3) and of (4, 4)
+    # root call of T2's depth (4, 3) and of (4, 4): the 3 and 4 cycle
+    # polynomials, since the quadratic's preimage pulls take the closed form
     real = dynamics.mp.polyroots
     inits = []
 
@@ -568,7 +573,7 @@ def test_depth_search_warm_starts_every_root_call(monkeypatch):
     monkeypatch.setattr(dynamics.mp, "polyroots", recording)
     for max_pre, max_per in ((4, 3), (4, 4)):
         assert common_preper_depth_search(QUAD, QUAD + 1, max_pre, max_per).count == 26
-    assert len(inits) == 83 + 180
+    assert len(inits) == 3 + 4
     assert all(init is not None for init in inits)
 
 
@@ -660,6 +665,56 @@ def test_poly_roots_match_cold_start(coeffs):
         assert_same_roots(dynamics._poly_roots(mcoeffs, "property"), cold_roots(mcoeffs))
 
 
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+def to_mpf(q):
+    return mp.mpf(q.numerator) / q.denominator
+
+
+@property_settings
+@given(
+    a=small_rationals.filter(bool),
+    b=small_rationals,
+    c=small_rationals,
+    w_re=small_rationals,
+    w_im=st.one_of(st.none(), small_rationals),
+    bits=st.sampled_from((96, 128, 256)),
+)
+# x^2 - 2 pulled back from its critical value -2: the double root 0 (|z| < eps)
+@example(a=1, b=0, c=-2, w_re=-2, w_im=0, bits=128)
+@example(a=1, b=0, c=-2, w_re=-2, w_im=None, bits=96)
+# x^2 - 2 pulled back from -3: the pair +-i on the imaginary axis (|re| < eps)
+@example(a=1, b=0, c=-2, w_re=-3, w_im=0, bits=128)
+# roots -2^-201 -+ i and +-sqrt(2) + -+2^-202 i / sqrt(2): only the cleanup
+# puts them on an axis
+@example(a=1, b=Fraction(1, 2**200), c=1, w_re=0, w_im=0, bits=128)
+@example(a=1, b=0, c=-2, w_re=0, w_im=Fraction(1, 2**200), bits=128)
+# a real pair (|im| < eps), with w an mpc and an mpf
+@example(a=Fraction(1, 2), b=-3, c=1, w_re=Fraction(1, 3), w_im=0, bits=256)
+@example(a=-2, b=Fraction(5, 3), c=4, w_re=-1, w_im=None, bits=128)
+# a complex w and its conjugate
+@example(a=1, b=Fraction(-9, 2), c=11, w_re=2, w_im=Fraction(1, 3), bits=128)
+@example(a=1, b=Fraction(-9, 2), c=11, w_re=2, w_im=Fraction(-1, 3), bits=128)
+def test_quadratic_pull_matches_poly_roots(a, b, c, w_re, w_im, bits):
+    # a double root other than 0 is ill-conditioned: both methods place it
+    # only to about half the bits, differently
+    disc_im = 4 * a * (w_im or 0)
+    assume((b * b - 4 * a * (c - w_re), disc_im) != (0, 0) or b == 0)
+    with mp.workprec(bits):
+        w = to_mpf(w_re) if w_im is None else mp.mpc(to_mpf(w_re), to_mpf(w_im))
+        ma, mb = to_mpf(a), to_mpf(b)
+        k = to_mpf(c) - w  # rounded at the working precision, as in the census
+        pulled = dynamics._quadratic_pull(ma, mb)(k)
+        roots = dynamics._poly_roots([ma, mb, k], "property")
+    assert_same_roots(pulled, roots)
+    # a root the cleanup made real is an mpf in both, any other an mpc
+    def types(zs):
+        return [type(z) for z in sorted(zs, key=lambda z: (mp.re(z), mp.im(z)))]
+
+    assert types(pulled) == types(roots)
+
+
 finite_parts = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
@@ -680,6 +735,103 @@ def test_horner_raw_matches_mpc_horner(coeffs, re, im, bits):
         prec, rnd = mp.mp._prec_rounding
         raw = dynamics._horner_raw([c._mpf_ for c in cs], z._mpc_, prec, rnd)
     assert raw == acc._mpc_
+
+
+@property_settings
+@given(
+    coeffs=st.lists(st.fractions(max_denominator=12), min_size=2, max_size=6),
+    re=finite_parts,
+    bits=st.sampled_from((53, 96, 128, 256)),
+)
+def test_horner_real_matches_horner_raw(coeffs, re, bits):
+    with mp.workprec(bits):
+        cs = [(mp.mpf(c.numerator) / c.denominator)._mpf_ for c in coeffs]
+        x = (mp.mpf(re) / 3)._mpf_
+        prec, rnd = mp.mp._prec_rounding
+        raw = dynamics._horner_raw(cs, (x, fzero), prec, rnd)
+        real = dynamics._horner_real(cs, x, prec, rnd)
+    assert raw == (real, fzero)
+
+
+X2_MINUS_2 = (Fraction(-2), Fraction(0), Fraction(1))  # escape radius 4
+
+
+def real_maps():
+    """Monomial coefficients, lowest first, of real maps of degree 2 or 3."""
+    return st.tuples(
+        st.lists(small_rationals, min_size=2, max_size=3), small_rationals.filter(bool)
+    ).map(lambda t: tuple(t[0]) + (t[1],))
+
+
+def band_start(offset):
+    """A start whose image under x^2 - 2 is 4 * (1 + offset), up to double rounding."""
+    return math.sqrt(6 + 4 * offset)
+
+
+@property_settings
+@given(
+    coeffs=real_maps(),
+    start=st.floats(-8, 8, allow_nan=False),
+    bits=st.sampled_from((96, 128, 256)),
+)
+# fixed points of x^2 - 2: the first image revisits the start
+@example(coeffs=X2_MINUS_2, start=2.0, bits=128)
+@example(coeffs=X2_MINUS_2, start=-1.0, bits=256)
+# first images just inside and just outside R * (1 -+ 2^-40), the band where
+# the float escape screen defers to mp, and on either side of R inside it
+@example(coeffs=X2_MINUS_2, start=band_start(-(2.0**-40) - 2.0**-45), bits=128)
+@example(coeffs=X2_MINUS_2, start=band_start(-(2.0**-40) + 2.0**-45), bits=128)
+@example(coeffs=X2_MINUS_2, start=band_start(-(2.0**-41)), bits=128)
+@example(coeffs=X2_MINUS_2, start=band_start(2.0**-41), bits=96)
+@example(coeffs=X2_MINUS_2, start=band_start(2.0**-40 - 2.0**-45), bits=128)
+@example(coeffs=X2_MINUS_2, start=band_start(2.0**-40 + 2.0**-45), bits=256)
+def test_real_retention_matches_complex_retention(coeffs, start, bits):
+    with mp.workprec(bits):
+        retention = dynamics._Retention(RationalPoly(coeffs), bits, 40, 1 + 2.0 ** (3 - bits))
+        x = mp.mpf(start)
+        z = mp.mpc(x)
+        kept = retention.keeps_complex(z, complex(z))
+        assert retention.keeps_real(x._mpf_, float(x)) is kept
+        assert retention.keeps(z, complex(z)) is kept
+
+
+def test_fixed_point_is_kept_on_the_real_axis(monkeypatch):
+    # the census sends a candidate with zero imaginary part down the real path
+    with mp.workprec(128):
+        retention = dynamics._Retention(RationalPoly(X2_MINUS_2), 128, 40, 1 + 2.0**-125)
+        monkeypatch.setattr(dynamics._Retention, "keeps_complex", None)
+        assert retention.keeps(mp.mpc(2), 2 + 0j)
+        assert not retention.keeps(mp.mpc(3), 3 + 0j)
+
+
+def test_near_real_window_bounds_the_scan():
+    with mp.workprec(128):
+        prec, rnd = mp.mp._prec_rounding
+        threshold = mp.ldexp(mp.mpf(1), -100)
+        threshold_c = float(threshold)
+        x, xf, top = mp.mpf(1)._mpf_, 1.0, 3.0
+        base = threshold_c + dynamics._SCREEN_SLACK * (abs(xf) + threshold_c + 1)
+        reach = 2 * (base + dynamics._SCREEN_SLACK * top)
+        for edge in (xf - reach, xf + reach):
+            beyond = math.nextafter(edge, math.copysign(math.inf, edge - xf))
+            # nothing within xf -+ reach: False before the trail is read, which
+            # the None stand-ins would make raise
+            assert not dynamics._near_real(
+                x, xf, None, None, [beyond], top, threshold._mpf_, threshold_c, prec, rnd
+            )
+            # a float exactly at the window's end sends the trail to the scan
+            with pytest.raises(TypeError):
+                dynamics._near_real(
+                    x, xf, None, None, [edge], top, threshold._mpf_, threshold_c, prec, rnd
+                )
+        # inside the window only mp tells points with the same float apart
+        for agree, near in ((110, True), (90, False)):
+            y = mp.mpf(1) + mp.ldexp(1, -agree)
+            assert float(y) == xf
+            got = dynamics._near_real(
+                x, xf, [y._mpf_], [xf], [xf], top, threshold._mpf_, threshold_c, prec, rnd
+            )
+            assert got is near
 
 
 def test_depth_search_raises_when_root_finding_never_converges(monkeypatch):

@@ -82,6 +82,13 @@ def test_verify_tables_rejects_unknown_selector():
         verify_tables(("T1", "T9"))
 
 
+def test_verify_tables_rejects_an_empty_selector():
+    # an empty selection would pass with no table checked
+    for selector in ((), []):
+        with pytest.raises(ValueError, match="no table selected"):
+            verify_tables(selector)
+
+
 def test_verify_t2_counts():
     # the slow row is d = 2 (a depth search); the rest are exact pipelines
     report, = verify_tables(("T2",))
