@@ -3,17 +3,15 @@
 A polynomial of degree >= 2 whose values on the integer window [1, m] all
 land inside [1, n] with m > n forces every point of [1, m] to be preperiodic
 under iteration, which is the engine behind every record in this package.
-check_window verifies a claimed window exactly; best_window discovers the
-largest one; reflect applies the two symmetries that preserve windows; and
-poly_from_vector realizes the centering construction that turns a small
-lattice vector into an integer-valued polynomial with small values.
+check_window verifies a claimed window exactly, and best_window discovers
+the largest one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
-from .polynomials import BinomialPoly, interpolate, poly_to_json, to_binomial
+from .polynomials import BinomialPoly, poly_to_json
 
 
 @dataclass(frozen=True)
@@ -122,42 +120,3 @@ def best_window(f: BinomialPoly, m_cap: int) -> Optional[CompressionWitness]:
         return None
     return CompressionWitness(f, best_m, best_n, tuple(vals[:best_m]))
 
-
-def reflect(w: CompressionWitness, mode: str = "domain") -> CompressionWitness:
-    """Apply a window-preserving symmetry: x -> m+1-x or f -> (n+1)-f.
-
-    Both modes keep (m, n) and are involutions; the value vector reverses
-    (domain) or flips inside [1, n] (range).
-    """
-    if mode == "domain":
-        mono = w.poly.to_monomial().compose_affine(-1, w.m + 1)
-        g = to_binomial(mono)
-        new_vals = tuple(reversed(w.values))
-    elif mode == "range":
-        g = (-w.poly) + (w.n + 1)
-        new_vals = tuple(w.n + 1 - v for v in w.values)
-    else:
-        raise ValueError(f"unknown reflection mode {mode!r}")
-    out = check_window(g, w.m, w.n)
-    if not isinstance(out, CompressionWitness):
-        raise RuntimeError(f"{mode} reflection lost the window [{w.m}] -> [{w.n}]")
-    if out.values != new_vals:
-        raise RuntimeError(f"{mode} reflection changed the value vector")
-    return out
-
-
-def poly_from_vector(v: Sequence[int], ell: int) -> BinomialPoly:
-    """Center a length-(d+1) integer vector into an integer-valued polynomial.
-
-    Interpolates v at 0..d, shifts the argument so the samples sit at 1..d+1,
-    and adds floor((d+ell-1)/2) + 1, so a vector with entries in
-    [-(d+ell-1)/2, (d+ell-1)/2] yields values inside [1, d+ell].
-    """
-    if ell < 2:
-        raise ValueError("ell must be at least 2")
-    vec = [int(x) for x in v]
-    if not vec:
-        raise ValueError("vector must be nonempty")
-    d = len(vec) - 1
-    g = interpolate(vec, 0)
-    return g.shift_argument(-1) + ((d + ell - 1) // 2 + 1)

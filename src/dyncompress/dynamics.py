@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -33,15 +33,15 @@ from typing import Optional, Union
 import mpmath as mp
 from mpmath.libmp import (
     fzero,
+    mpc_abs,
     mpc_add_mpf,
     mpc_mul,
-    mpf_abs,
+    mpc_sub,
+    mpc_to_complex,
     mpf_add,
     mpf_gt,
     mpf_le,
     mpf_mul,
-    mpf_sub,
-    to_float,
 )
 from mpmath.libmp.libhyper import NoConvergence
 
@@ -491,110 +491,99 @@ def _quadratic_pull(a, b):
     return pull
 
 
-def _horner_raw(coeffs, z, prec: int, rnd: str):
+def _horner(coeffs, z, prec: int, rnd: str):
     """Horner's rule on mpmath's raw tuples, rounding to prec bits in mode rnd.
 
     coeffs are the mpf tuples of the coefficients, leading first, and z is
     an mpc tuple.  mpc.__mul__ and mpc.__add__ make these same mpc_mul and
     mpc_add_mpf calls, so the result is the mpc Horner's bit for bit,
-    without building a wrapper object per operation.
+    without building a wrapper object per operation.  At a point whose
+    imaginary part is exactly 0 they reduce to mpf_mul and mpf_add at the
+    same (prec, rnd), and the imaginary part stays 0, so the real loop
+    below gives the same tuple with one product per coefficient, not four.
     """
+    x, y = z
+    if y == fzero:
+        acc = coeffs[0]
+        for c in coeffs[1:]:
+            acc = mpf_add(mpf_mul(acc, x, prec, rnd), c, prec, rnd)
+        return acc, fzero
     acc = (coeffs[0], fzero)
     for c in coeffs[1:]:
         acc = mpc_add_mpf(mpc_mul(acc, z, prec, rnd), c, prec, rnd)
     return acc
 
 
-def _horner_real(coeffs, x, prec: int, rnd: str):
-    """_horner_raw at a real point: x is an mpf tuple, and so is the result.
-
-    While every imaginary part is exactly zero, mpc_mul and mpc_add_mpf
-    reduce to mpf_mul and mpf_add at the same (prec, rnd), so the result is
-    the real part of _horner_raw's, bit for bit, whose imaginary part is 0.
-    """
-    acc = coeffs[0]
-    for c in coeffs[1:]:
-        acc = mpf_add(mpf_mul(acc, x, prec, rnd), c, prec, rnd)
-    return acc
-
-
-# Relative slack of the float screen in _near: converting mpc points to
+# Relative slack of the float screen in _Pool.near: converting mpc points to
 # Python complex and taking abs(zc - wc) in doubles errs by a few units of
 # 2^-53 of |z| + |w| + threshold, so 2^-48 times that (plus 1, for values
 # that underflow) bounds the gap between the float and the exact distance.
 _SCREEN_SLACK = 2.0**-48
 
 
-def _near(z, zc: complex, pool: list, pool_c: list, threshold, threshold_c: float) -> bool:
-    """Whether some pool point w has abs(z - w) <= threshold, decided in mp.
+class _Pool:
+    """Points (mpc tuples) and the test whether a query lies within threshold of one.
 
-    zc = complex(z), pool_c holds complex(w) for each w in pool, and
-    threshold_c is a float no smaller than any exact distance the mp test
-    accepts.  A pair whose float distance exceeds threshold_c by more than
-    the rounding slack is provably farther apart than that, so it is
-    skipped; every other pair takes the exact mp comparison, including one
-    whose float distance is NaN or inf (the comparison below is False for
-    both).  The answer is the one the mp scan of the whole pool gives.
+    threshold is an mpf tuple and threshold_c a float no smaller than any
+    exact distance the mp test accepts.  The pool keeps each point's
+    complex copy, the real parts of those copies sorted with their
+    indices, and top, the largest |copy| (inf once a copy is NaN).
     """
-    base = threshold_c + _SCREEN_SLACK * (abs(zc) + threshold_c + 1)
-    for w, wc in zip(pool, pool_c):
-        dz = abs(zc - wc)
-        bound = base + _SCREEN_SLACK * abs(wc)
-        if dz > bound:
-            continue
-        if abs(z - w) <= threshold:
-            return True
-    return False
 
+    def __init__(self, threshold, threshold_c: float, prec: int, rnd: str):
+        self.threshold, self.threshold_c = threshold, threshold_c
+        self.prec, self.rnd = prec, rnd
+        self.points: list = []
+        self.points_c: list = []
+        self.order: list = []  # (zc.real, index) for each point, sorted
+        self.top = 0.0
 
-def _near_real(
-    x, xf: float, trail, trail_f, ordered, top: float, threshold, threshold_c: float, prec, rnd
-) -> bool:
-    """_near for real points: whether some trail point y has |x - y| <= threshold.
+    def add(self, z, zc: complex) -> None:
+        """Add the point z (an mpc tuple, zc its complex copy)."""
+        insort(self.order, (zc.real, len(self.points)))
+        self.points.append(z)
+        self.points_c.append(zc)
+        size = abs(zc)
+        self.top = math.inf if math.isnan(size) else max(self.top, size)
 
-    x, threshold and the trail are mpf tuples, xf and trail_f their floats,
-    ordered is trail_f sorted, and top is max |trail_f|.  Every per-pair
-    screen bound of _near is at most reach = base + _SCREEN_SLACK * top, so
-    when no float lies within xf -+ 2 reach, every pair is farther apart
-    than its bound and the answer is False.  The factor 2 covers the
-    rounding of the window ends, which is below 2^-52 |xf|, far under
-    reach.  Otherwise the trail takes _near's per-pair screen and the mp
-    comparison |x - y| <= threshold on the tuples (mpc's subtraction and
-    abs reduce to mpf_sub and mpf_abs on real points).  A NaN window end
-    fails the emptiness test, so the scan decides then too.
-    """
-    base = threshold_c + _SCREEN_SLACK * (abs(xf) + threshold_c + 1)
-    reach = 2 * (base + _SCREEN_SLACK * top)
-    i = bisect_left(ordered, xf - reach)
-    if i == len(ordered) or ordered[i] > xf + reach:
+    def near(self, z, zc: complex) -> bool:
+        """Whether some point w has |z - w| <= threshold at prec bits, as a full mp scan says.
+
+        A pair whose float distance exceeds threshold_c by more than the
+        rounding slack is provably farther apart than that, so it is
+        skipped; every other pair takes the mp comparison, with the calls
+        abs(z - w) <= threshold makes on mpc objects, including a pair
+        whose float distance is NaN or inf (the screen passes both).  Every
+        per-pair screen bound is at most reach = base + _SCREEN_SLACK * top,
+        and |zc - wc| >= |Re zc - Re wc|, so only points whose real part
+        lies within Re zc -+ 2 reach can pass it; the factor 2 covers the
+        rounding of the window ends, which is below 2^-52 |Re zc|, far
+        under reach.  Where a window end is not finite (zc or a point's
+        copy inf or NaN) the whole pool is scanned.
+        """
+        threshold_c, prec, rnd = self.threshold_c, self.prec, self.rnd
+        base = threshold_c + _SCREEN_SLACK * (abs(zc) + threshold_c + 1)
+        reach = 2 * (base + _SCREEN_SLACK * self.top)
+        lo, hi = zc.real - reach, zc.real + reach
+        if -math.inf < lo and hi < math.inf:
+            order = self.order
+            window = order[bisect_left(order, (lo,)):bisect_right(order, (hi, math.inf))]
+            indices = [i for _, i in window]
+        else:
+            indices = range(len(self.points))
+        for i in indices:
+            wc = self.points_c[i]
+            if abs(zc - wc) > base + _SCREEN_SLACK * abs(wc):
+                continue
+            distance = mpc_abs(mpc_sub(z, self.points[i], prec, rnd), prec, rnd)
+            if mpf_le(distance, self.threshold):
+                return True
         return False
-    for y, yf in zip(trail, trail_f):
-        if abs(xf - yf) > base + _SCREEN_SLACK * abs(yf):
-            continue
-        if mpf_le(mpf_abs(mpf_sub(x, y, prec, rnd)), threshold):
-            return True
-    return False
 
 
-# Relative slack of the float screen in _outside: abs(complex(z)) errs by a
-# few units of 2^-53 of |z|, far inside 2^-40.
+# Relative slack of the float escape screen: abs(complex(z)) errs by a few
+# units of 2^-53 of |z|, far inside 2^-40.
 _ESCAPE_SLACK = 2.0**-40
-
-
-def _outside(z, zc: complex, radius, lo: float, hi: float) -> bool:
-    """Whether abs(z) > radius, decided in doubles where they suffice.
-
-    zc = complex(z), and lo and hi are float(radius) * (1 -+ _ESCAPE_SLACK).
-    abs(zc) below lo or above hi settles the answer; in the band between,
-    and for a NaN or inf abs(zc), the mp comparison does.  The answer is
-    the mp comparison's either way.
-    """
-    size = abs(zc)
-    if size < lo:
-        return False
-    if hi < size < math.inf:
-        return True
-    return abs(z) > radius
 
 
 class _Retention:
@@ -602,10 +591,10 @@ class _Retention:
 
     A candidate is kept when its g-orbit stays inside the escape radius R
     and, within steps steps, revisits an earlier orbit point within
-    R * 2^-floor(7p/8).  keeps runs keeps_real on a candidate whose
-    imaginary part is exactly 0 (g has real coefficients, so its orbit
-    stays on the real axis) and keeps_complex on any other; on a real start
-    both give the same answer.
+    R * 2^-floor(7p/8).  The orbit is iterated by _horner, in real
+    arithmetic at every point whose imaginary part is exactly 0 (g has
+    real coefficients, so a real start stays real), and the revisit test
+    is a _Pool of the orbit so far.
     """
 
     def __init__(self, gm: RationalPoly, precision_bits: int, steps: int, widen: float):
@@ -615,65 +604,46 @@ class _Retention:
         float image.
         """
         radius_q = escape_radius(gm)
-        self.radius = mp.mpf(radius_q.numerator) / radius_q.denominator
-        self.floor = self.radius * mp.ldexp(mp.mpf(1), -(7 * precision_bits // 8))
-        self.floor_c = float(self.floor) * widen
-        # the float escape screen of _outside
-        self.lo = float(self.radius) * (1 - _ESCAPE_SLACK)
-        self.hi = float(self.radius) * (1 + _ESCAPE_SLACK)
+        radius = mp.mpf(radius_q.numerator) / radius_q.denominator
+        floor = radius * mp.ldexp(mp.mpf(1), -(7 * precision_bits // 8))
+        self.radius, self.floor = radius._mpf_, floor._mpf_
+        self.floor_c = float(floor) * widen
+        # the float escape screen of outside
+        self.lo = float(radius) * (1 - _ESCAPE_SLACK)
+        self.hi = float(radius) * (1 + _ESCAPE_SLACK)
         # g's coefficients as raw mpf tuples, leading first, and the
         # (prec, rounding) pair mpc arithmetic rounds with
         self.g_raw = [(mp.mpf(c.numerator) / c.denominator)._mpf_ for c in reversed(gm.coeffs)]
         self.prec, self.rnd = mp.mp._prec_rounding
         self.steps = steps
 
-    def keeps(self, z, zc: complex) -> bool:
-        """Whether the census keeps candidate z (an mpc, zc = complex(z))."""
-        re, im = z._mpc_
-        if im == fzero:
-            return self.keeps_real(re, zc.real)
-        return self.keeps_complex(z, zc)
+    def outside(self, z, zc: complex) -> bool:
+        """Whether |z| > R for the mpc tuple z, decided in doubles where they suffice.
 
-    def keeps_complex(self, z, zc: complex) -> bool:
-        """The retention loop in mpc values: Horner on raw tuples, _outside, _near."""
-        g_raw, prec, rnd = self.g_raw, self.prec, self.rnd
-        radius, lo, hi, floor, floor_c = self.radius, self.lo, self.hi, self.floor, self.floor_c
-        trail, trail_c = [z], [zc]
-        cur = z
-        for _ in range(self.steps):
-            cur = mp.make_mpc(_horner_raw(g_raw, cur._mpc_, prec, rnd))
-            cur_c = complex(cur)
-            if _outside(cur, cur_c, radius, lo, hi):
-                return False
-            if _near(cur, cur_c, trail, trail_c, floor, floor_c):
-                return True
-            trail.append(cur)
-            trail_c.append(cur_c)
-        return False
-
-    def keeps_real(self, x, xf: float) -> bool:
-        """keeps_complex for the real start x (an mpf tuple, xf its float), in mpf tuples.
-
-        Each step is keeps_complex's: _horner_real, _outside's float screen
-        with its mp fallback applied to |x|, and _near_real.
+        zc = complex(z).  abs(zc) below R * (1 - 2^-40) or above
+        R * (1 + 2^-40) settles the answer; in the band between, and for a
+        NaN or inf abs(zc), the mp comparison abs(z) > R does.
         """
+        size = abs(zc)
+        if size < self.lo:
+            return False
+        if self.hi < size < math.inf:
+            return True
+        return mpf_gt(mpc_abs(z, self.prec, self.rnd), self.radius)
+
+    def keeps(self, z, zc: complex) -> bool:
+        """Whether the census keeps candidate z (an mpc tuple, zc = complex(z))."""
         g_raw, prec, rnd = self.g_raw, self.prec, self.rnd
-        radius, lo, hi = self.radius._mpf_, self.lo, self.hi
-        floor, floor_c = self.floor._mpf_, self.floor_c
-        trail, trail_f, ordered = [x], [xf], [xf]
-        top = abs(xf)
+        trail = _Pool(self.floor, self.floor_c, prec, rnd)
+        trail.add(z, zc)
         for _ in range(self.steps):
-            x = _horner_real(g_raw, x, prec, rnd)
-            xf = to_float(x, rnd=rnd)
-            size = abs(xf)
-            if not size < lo and (hi < size < math.inf or mpf_gt(mpf_abs(x), radius)):
+            z = _horner(g_raw, z, prec, rnd)
+            zc = mpc_to_complex(z, False, rnd)
+            if self.outside(z, zc):
                 return False
-            if _near_real(x, xf, trail, trail_f, ordered, top, floor, floor_c, prec, rnd):
+            if trail.near(z, zc):
                 return True
-            trail.append(x)
-            trail_f.append(xf)
-            insort(ordered, xf)
-            top = max(top, size)
+            trail.add(z, zc)
         return False
 
 
@@ -691,6 +661,12 @@ def common_preper_depth_search(
     preimages of the short cycles, so roots come from f^c - x (exact
     squarefree part, numerical roots) followed by numerical preimage pulls,
     level by level; candidates closer than MERGE_TOL = 1e-20 are merged.
+    The squarefree part's coefficients are converted at 8 bits more than
+    their largest numerator or denominator, never below the working
+    precision: rounded to the working precision, the 160-bit coefficients
+    of f^3 - x for x^2 + 3x - 2^40 - 7 moved its roots by more than the
+    merge distance, and its 10 cycle points gave 12 candidates at 96 and
+    128 bits.
     The cycle polynomials, and the pulls of a map of degree 3 or more, go
     to _poly_roots: Durand-Kerner from roots found in double precision,
     stopped by mp.polyroots's own test, so the roots are those of a cold
@@ -706,19 +682,18 @@ def common_preper_depth_search(
     closes in at a rate set by the cycle's multiplier, not by p, so its
     distance does not shrink when p grows and it is not counted.
 
-    Both distance tests (the merge and the revisit floor) run a float screen
-    first: it skips only pairs that are provably far apart, whose
-    double-precision distance exceeds the threshold by more than a proven
-    rounding bound.  Every other pair takes the mp comparison, so every
-    keep, drop and merge is the one an mp scan of every pair makes.  The
-    escape test |g(z)| > R is screened the same way, in doubles outside
-    R * (1 -+ 2^-40), and g runs Horner on mpmath's raw tuples with the
-    calls the mpc operators make, so each orbit point is the mpc value.
-    A candidate whose imaginary part is exactly 0 stays on the real axis
-    under g and iterates in mpf tuples (_Retention.keeps_real): the same
-    points, and a sorted copy of the trail's floats skips the revisit scan
-    when no trail point is near, so it keeps or drops what the complex loop
-    does.
+    Both distance tests, the merge and the revisit floor, are one _Pool
+    test: a window on the real parts of the points' double-precision copies,
+    then a float screen that skips only pairs that are provably far apart,
+    whose double-precision distance exceeds the threshold by more than a
+    proven rounding bound.  Every other pair takes the mp comparison, so
+    every keep, drop and merge is the one an mp scan of every pair makes.
+    The escape test |g(z)| > R is screened the same way, in doubles outside
+    R * (1 -+ 2^-40).  g runs Horner on mpmath's raw tuples with the calls
+    the mpc operators make, so each orbit point is the mpc value; at a
+    point whose imaginary part is exactly 0, a real candidate or an orbit
+    that reaches the real axis, those calls reduce to real arithmetic,
+    which _horner runs instead.
 
     precision_bits must be at least DEPTH_MIN_BITS = 96.  Below that the
     merge distance sits under the root-finding noise and attracting orbits
@@ -748,39 +723,38 @@ def common_preper_depth_search(
     gm = g.to_monomial()
 
     with mp.workprec(precision_bits):
-        tol_mp = mp.mpf(MERGE_TOL)
+        prec, rnd = mp.mp._prec_rounding
         f_coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(fm.coeffs)]
         # abs(z - w) in mp errs by a few units of 2^-p, so exact distances a
         # little above a threshold can still pass the mp test
         widen = 1 + 2.0 ** (3 - precision_bits)
-        tol_c = float(tol_mp) * widen
-        points: list = []
-        points_c: list = []  # complex(z) for each z in points
+        tol_mp = mp.mpf(MERGE_TOL)
+        candidates = _Pool(tol_mp._mpf_, float(tol_mp) * widen, prec, rnd)
 
-        def dedup_add(z):
-            zc = complex(z)
-            if _near(z, zc, points, points_c, tol_mp, tol_c):
-                return False
-            points.append(z)
-            points_c.append(zc)
-            return True
+        def fresh(roots) -> list:
+            """The roots, as mpc, that merge with no candidate; each joins the candidates."""
+            out = []
+            for z in map(mp.mpc, roots):
+                zc = complex(z)
+                if not candidates.near(z._mpc_, zc):
+                    candidates.add(z._mpc_, zc)
+                    out.append(z)
+            return out
 
         # level 0: the short cycles of f (exact squarefree part, numerical roots)
+        frontier = []
         comp = fm
         for c in range(1, max_per + 1):
-            target = comp - RationalPoly.x()
-            sf = squarefree_part(target)
-            coeffs = [
-                mp.mpf(co.numerator) / co.denominator for co in reversed(sf.coeffs)
-            ]
-            for z in _poly_roots(coeffs, f"cycle length {c}"):
-                dedup_add(mp.mpc(z))
+            sf = squarefree_part(comp - RationalPoly.x())
+            bits = max(max(abs(co.numerator), co.denominator) for co in sf.coeffs).bit_length()
+            with mp.workprec(max(precision_bits, bits + 8)):
+                coeffs = [mp.mpf(co.numerator) / co.denominator for co in reversed(sf.coeffs)]
+            frontier += fresh(_poly_roots(coeffs, f"cycle length {c}"))
             if c < max_per:
                 comp = _compose(fm, comp)
-        per_level = [len(points)]
+        per_level = [len(frontier)]
 
         # levels 1..max_pre: numerical preimages of the previous level
-        frontier = list(points)
         quadratic = _quadratic_pull(*f_coeffs[:2]) if fm.degree == 2 else None
         for _a in range(1, max_pre + 1):
             new_frontier = []
@@ -790,16 +764,17 @@ def common_preper_depth_search(
                     roots = _poly_roots(f_coeffs[:-1] + [k], f"preimage level {_a}")
                 else:
                     roots = quadratic(k)
-                for z in roots:
-                    z = mp.mpc(z)
-                    if dedup_add(z):
-                        new_frontier.append(z)
+                new_frontier += fresh(roots)
             per_level.append(len(new_frontier))
             frontier = new_frontier
 
         # retention: g-orbit must stay bounded and revisit at the noise floor
         retention = _Retention(gm, precision_bits, 4 * (max_pre + max_per) + 20, widen)
-        retained = [z for z, zc in zip(points, points_c) if retention.keeps(z, zc)]
+        retained = [
+            mp.make_mpc(z)
+            for z, zc in zip(candidates.points, candidates.points_c)
+            if retention.keeps(z, zc)
+        ]
 
         retained.sort(key=lambda z: (mp.re(z), mp.im(z)))
         out_points = tuple((float(mp.re(z)), float(mp.im(z))) for z in retained)

@@ -449,6 +449,18 @@ def test_depth_search_report_golden(deg, max_pre, max_per, bits, count, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def make_pool(threshold, points=()):
+    """A _Pool at the context precision holding points, given as (mpc, complex copy) pairs.
+
+    threshold is an mpf, and the float threshold its double.
+    """
+    prec, rnd = mp.mp._prec_rounding
+    pool = dynamics._Pool(threshold._mpf_, float(threshold), prec, rnd)
+    for w, wc in points:
+        pool.add(None if w is None else w._mpc_, wc)
+    return pool
+
+
 def test_near_screen_defers_unresolved_pairs_to_mp():
     one = mp.mpc(1)
     with mp.workprec(128):
@@ -461,17 +473,18 @@ def test_near_screen_defers_unresolved_pairs_to_mp():
             # the float images of both points are 1.0, so only mp tells them apart
             z = one + mp.ldexp(1, -agree)
             assert complex(z) == complex(one)
-            got = dynamics._near(z, complex(z), [one], [complex(one)], threshold, float(threshold))
+            got = make_pool(threshold, [(one, complex(one))]).near(z._mpc_, complex(z))
             assert got is near
         # rounding to doubles stretches 0.6 ulp of 1.0 to a whole ulp, past
         # the threshold; only the slack sends the pair on to mp
         z = one + mp.mpf(0.6) * mp.ldexp(1, -52)
         threshold = mp.mpf(0.7) * mp.ldexp(1, -52)
         assert abs(complex(z) - complex(one)) > float(threshold)
-        assert dynamics._near(z, complex(z), [one], [complex(one)], threshold, float(threshold))
+        assert make_pool(threshold, [(one, complex(one))]).near(z._mpc_, complex(z))
         # a pair the floats prove far apart never reaches the mp comparison,
-        # which would raise on the None stand-in
-        assert not dynamics._near(one, 1j, [None], [5 + 0j], mp.mpf(1), 1.0)
+        # which would raise on the None stand-in; 5i shares the query's real
+        # part, so the window keeps it and only the screen skips it
+        assert not make_pool(mp.mpf(1), [(None, 5j)]).near(one._mpc_, 1j)
         # NaN and inf float distances fall through to the mp comparison
         z = one + mp.ldexp(1, -100)
         threshold = mp.ldexp(1, -90)
@@ -481,27 +494,30 @@ def test_near_screen_defers_unresolved_pairs_to_mp():
             (complex("inf"), complex("inf")),
             (complex("nan"), complex(z)),
         ):
-            assert dynamics._near(z, zc, [one], [wc], threshold, float(threshold))
+            assert make_pool(threshold, [(one, wc)]).near(z._mpc_, zc)
 
 
 def test_outside_screen_defers_the_band_to_mp():
     with mp.workprec(128):
+        # x^2 + x/2 has escape radius 5/2
+        g = RationalPoly((Fraction(0), Fraction(1, 2), Fraction(1)))
+        retention = dynamics._Retention(g, 128, 40, 1.0)
         radius = mp.mpf(5) / 2
-        lo = float(radius) * (1 - dynamics._ESCAPE_SLACK)
-        hi = float(radius) * (1 + dynamics._ESCAPE_SLACK)
+        assert retention.radius == radius._mpf_
         # far from the radius the doubles decide; the None stand-in would
         # raise if the mp comparison ran
-        assert not dynamics._outside(None, 2.4 + 0j, radius, lo, hi)
-        assert dynamics._outside(None, 2.6j, radius, lo, hi)
-        # inside the band only mp tells the points apart
+        assert not retention.outside(None, 2.4 + 0j)
+        assert retention.outside(None, 2.6j)
+        # inside the band only mp tells the points apart, on the real axis
+        # and off it
         for offset, outside in ((mp.ldexp(1, -100), True), (-mp.ldexp(1, -100), False)):
-            z = mp.mpc(radius + offset, 0)
-            assert complex(z) == complex(radius)
-            assert dynamics._outside(z, complex(z), radius, lo, hi) is outside
+            for z in (mp.mpc(radius + offset, 0), mp.mpc(0, -radius - offset)):
+                assert abs(complex(z)) == float(radius)
+                assert retention.outside(z._mpc_, complex(z)) is outside
         # NaN and inf fall through to mp
         z = mp.mpc(radius - mp.ldexp(1, -100), 0)
         for zc in (complex("nan"), complex("inf"), complex(0, float("inf"))):
-            assert not dynamics._outside(z, zc, radius, lo, hi)
+            assert not retention.outside(z._mpc_, zc)
 
 
 def test_depth_search_same_map_keeps_everything():
@@ -722,10 +738,13 @@ finite_parts = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 @given(
     coeffs=st.lists(st.fractions(max_denominator=12), min_size=2, max_size=6),
     re=finite_parts,
-    im=finite_parts,
+    im=st.one_of(st.just(0.0), finite_parts),
     bits=st.sampled_from((53, 96, 128, 256)),
 )
-def test_horner_raw_matches_mpc_horner(coeffs, re, im, bits):
+@example(coeffs=[Fraction(1), Fraction(-1, 3), Fraction(7, 5)], re=2.5, im=0.0, bits=128)
+def test_horner_matches_mpc_horner(coeffs, re, im, bits):
+    # bit for bit at non-real points and at real ones, where _horner runs
+    # in mpf arithmetic
     with mp.workprec(bits):
         cs = [mp.mpf(c.numerator) / c.denominator for c in coeffs]
         z = mp.mpc(re, im) / 3
@@ -733,27 +752,12 @@ def test_horner_raw_matches_mpc_horner(coeffs, re, im, bits):
         for c in cs[1:]:
             acc = acc * z + c
         prec, rnd = mp.mp._prec_rounding
-        raw = dynamics._horner_raw([c._mpf_ for c in cs], z._mpc_, prec, rnd)
+        raw = dynamics._horner([c._mpf_ for c in cs], z._mpc_, prec, rnd)
     assert raw == acc._mpc_
 
 
-@property_settings
-@given(
-    coeffs=st.lists(st.fractions(max_denominator=12), min_size=2, max_size=6),
-    re=finite_parts,
-    bits=st.sampled_from((53, 96, 128, 256)),
-)
-def test_horner_real_matches_horner_raw(coeffs, re, bits):
-    with mp.workprec(bits):
-        cs = [(mp.mpf(c.numerator) / c.denominator)._mpf_ for c in coeffs]
-        x = (mp.mpf(re) / 3)._mpf_
-        prec, rnd = mp.mp._prec_rounding
-        raw = dynamics._horner_raw(cs, (x, fzero), prec, rnd)
-        real = dynamics._horner_real(cs, x, prec, rnd)
-    assert raw == (real, fzero)
-
-
 X2_MINUS_2 = (Fraction(-2), Fraction(0), Fraction(1))  # escape radius 4
+X_SQUARED = (Fraction(0), Fraction(0), Fraction(1))  # escape radius 2
 
 
 def real_maps():
@@ -768,70 +772,187 @@ def band_start(offset):
     return math.sqrt(6 + 4 * offset)
 
 
+def reference_keeps(coeffs, start, bits, steps):
+    """The retention rule in mp objects at the context precision.
+
+    g(z) by mpc Horner, escape when abs(z) > R, and a revisit when some
+    earlier orbit point lies within R * 2^-floor(7 bits / 8).
+    """
+    g = RationalPoly(coeffs)
+    radius = to_mpf(escape_radius(g))
+    floor = radius * mp.ldexp(mp.mpf(1), -(7 * bits // 8))
+    cs = [to_mpf(c) for c in reversed(g.coeffs)]
+    z, trail = start, [start]
+    for _ in range(steps):
+        acc = mp.mpc(cs[0])
+        for c in cs[1:]:
+            acc = acc * z + c
+        z = acc
+        if abs(z) > radius:
+            return False
+        if any(abs(z - w) <= floor for w in trail):
+            return True
+        trail.append(z)
+    return False
+
+
 @property_settings
 @given(
     coeffs=real_maps(),
-    start=st.floats(-8, 8, allow_nan=False),
+    re=st.floats(-8, 8, allow_nan=False),
+    im=st.one_of(st.just(0.0), st.floats(-8, 8, allow_nan=False)),
     bits=st.sampled_from((96, 128, 256)),
 )
 # fixed points of x^2 - 2: the first image revisits the start
-@example(coeffs=X2_MINUS_2, start=2.0, bits=128)
-@example(coeffs=X2_MINUS_2, start=-1.0, bits=256)
+@example(coeffs=X2_MINUS_2, re=2.0, im=0.0, bits=128)
+@example(coeffs=X2_MINUS_2, re=-1.0, im=0.0, bits=256)
 # first images just inside and just outside R * (1 -+ 2^-40), the band where
 # the float escape screen defers to mp, and on either side of R inside it
-@example(coeffs=X2_MINUS_2, start=band_start(-(2.0**-40) - 2.0**-45), bits=128)
-@example(coeffs=X2_MINUS_2, start=band_start(-(2.0**-40) + 2.0**-45), bits=128)
-@example(coeffs=X2_MINUS_2, start=band_start(-(2.0**-41)), bits=128)
-@example(coeffs=X2_MINUS_2, start=band_start(2.0**-41), bits=96)
-@example(coeffs=X2_MINUS_2, start=band_start(2.0**-40 - 2.0**-45), bits=128)
-@example(coeffs=X2_MINUS_2, start=band_start(2.0**-40 + 2.0**-45), bits=256)
-def test_real_retention_matches_complex_retention(coeffs, start, bits):
+@example(coeffs=X2_MINUS_2, re=band_start(-(2.0**-40) - 2.0**-45), im=0.0, bits=128)
+@example(coeffs=X2_MINUS_2, re=band_start(-(2.0**-40) + 2.0**-45), im=0.0, bits=128)
+@example(coeffs=X2_MINUS_2, re=band_start(-(2.0**-41)), im=0.0, bits=128)
+@example(coeffs=X2_MINUS_2, re=band_start(2.0**-41), im=0.0, bits=96)
+@example(coeffs=X2_MINUS_2, re=band_start(2.0**-40 - 2.0**-45), im=0.0, bits=128)
+@example(coeffs=X2_MINUS_2, re=band_start(2.0**-40 + 2.0**-45), im=0.0, bits=256)
+# i -> -1 -> 1 -> 1 under x^2: the orbit reaches the real axis after one
+# complex step and is kept
+@example(coeffs=X_SQUARED, re=0.0, im=1.0, bits=128)
+@example(coeffs=X_SQUARED, re=0.0, im=-1.0, bits=96)
+# a cube root of unity, rounded to doubles: the 2-cycle it shadows repels,
+# and the orbit misses the floor
+@example(coeffs=X_SQUARED, re=-0.5, im=math.sqrt(3) / 2, bits=128)
+def test_retention_matches_reference_loop(coeffs, re, im, bits):
     with mp.workprec(bits):
         retention = dynamics._Retention(RationalPoly(coeffs), bits, 40, 1 + 2.0 ** (3 - bits))
-        x = mp.mpf(start)
-        z = mp.mpc(x)
-        kept = retention.keeps_complex(z, complex(z))
-        assert retention.keeps_real(x._mpf_, float(x)) is kept
-        assert retention.keeps(z, complex(z)) is kept
+        z = mp.mpc(re, im)
+        assert retention.keeps(z._mpc_, complex(z)) is reference_keeps(coeffs, z, bits, 40)
 
 
 def test_fixed_point_is_kept_on_the_real_axis(monkeypatch):
-    # the census sends a candidate with zero imaginary part down the real path
+    # a real start never takes the complex branch of _horner
     with mp.workprec(128):
         retention = dynamics._Retention(RationalPoly(X2_MINUS_2), 128, 40, 1 + 2.0**-125)
-        monkeypatch.setattr(dynamics._Retention, "keeps_complex", None)
-        assert retention.keeps(mp.mpc(2), 2 + 0j)
-        assert not retention.keeps(mp.mpc(3), 3 + 0j)
+        monkeypatch.setattr(dynamics, "mpc_mul", None)
+        assert retention.keeps(mp.mpc(2)._mpc_, 2 + 0j)
+        assert not retention.keeps(mp.mpc(3)._mpc_, 3 + 0j)
 
 
-def test_near_real_window_bounds_the_scan():
+def test_near_window_bounds_the_scan():
     with mp.workprec(128):
-        prec, rnd = mp.mp._prec_rounding
         threshold = mp.ldexp(mp.mpf(1), -100)
         threshold_c = float(threshold)
-        x, xf, top = mp.mpf(1)._mpf_, 1.0, 3.0
-        base = threshold_c + dynamics._SCREEN_SLACK * (abs(xf) + threshold_c + 1)
+        z, zc, top = mp.mpc(1), 1 + 0j, 3.0
+        base = threshold_c + dynamics._SCREEN_SLACK * (abs(zc) + threshold_c + 1)
         reach = 2 * (base + dynamics._SCREEN_SLACK * top)
-        for edge in (xf - reach, xf + reach):
-            beyond = math.nextafter(edge, math.copysign(math.inf, edge - xf))
-            # nothing within xf -+ reach: False before the trail is read, which
-            # the None stand-ins would make raise
-            assert not dynamics._near_real(
-                x, xf, None, None, [beyond], top, threshold._mpf_, threshold_c, prec, rnd
-            )
-            # a float exactly at the window's end sends the trail to the scan
-            with pytest.raises(TypeError):
-                dynamics._near_real(
-                    x, xf, None, None, [edge], top, threshold._mpf_, threshold_c, prec, rnd
-                )
+        for edge in (zc.real - reach, zc.real + reach):
+            beyond = math.nextafter(edge, math.copysign(math.inf, edge - zc.real))
+            for x, inside in ((beyond, False), (edge, True)):
+                # the point at 3 sets top, and lies far outside the window
+                pool = make_pool(threshold, [(None, 3 + 0j), (None, complex(x, 2))])
+                pool.points = pool.points_c = None
+                if inside:
+                    # a float exactly at the window's end sends the pool to the scan
+                    with pytest.raises(TypeError):
+                        pool.near(z._mpc_, zc)
+                else:
+                    # nothing within Re zc -+ reach: False before any point is read
+                    assert not pool.near(z._mpc_, zc)
         # inside the window only mp tells points with the same float apart
         for agree, near in ((110, True), (90, False)):
-            y = mp.mpf(1) + mp.ldexp(1, -agree)
-            assert float(y) == xf
-            got = dynamics._near_real(
-                x, xf, [y._mpf_], [xf], [xf], top, threshold._mpf_, threshold_c, prec, rnd
-            )
-            assert got is near
+            w = mp.mpc(1 + mp.ldexp(1, -agree))
+            assert complex(w) == zc
+            assert make_pool(threshold, [(w, zc)]).near(z._mpc_, zc) is near
+        # a NaN copy sends every query to the whole pool: its key would break
+        # the order of the real parts, and this window would miss the 3
+        points = [(mp.mpc(x), complex(x)) for x in (3, 4, 1, 2, 1)]
+        points[1] = (points[1][0], complex("nan"))
+        assert make_pool(threshold, points).near(mp.mpc(3)._mpc_, 3 + 0j)
+
+
+# offsets, in units of MERGE_TOL, of the pool points in the near property
+tol_offsets = st.sampled_from(
+    (0.0, 0.6, 0.8, 1.0, 1 - 2.0**-40, 1 + 2.0**-40, 3.0, 1e12)
+).flatmap(lambda v: st.sampled_from((v, -v)))
+
+
+@st.composite
+def pool_queries(draw):
+    """A query (re, im) and pool points (re, im, dx, dy) for the near property.
+
+    Each point sits at the query, at its conjugate or anywhere, moved by
+    MERGE_TOL * (dx + i dy).
+    """
+    re = draw(finite_parts)
+    im = draw(st.one_of(st.just(0.0), finite_parts))
+    anchors = st.one_of(
+        st.just((re, im)), st.just((re, -im)), st.tuples(finite_parts, finite_parts)
+    )
+    points = draw(st.lists(st.tuples(anchors, tol_offsets, tol_offsets), max_size=8))
+    return (re, im), [(a, b, dx, dy) for (a, b), dx, dy in points]
+
+
+# the upper end of the window around the query 1 in a pool whose top is 4
+WINDOW_EDGE = 1.0 + 2 * (
+    dynamics.MERGE_TOL
+    + dynamics._SCREEN_SLACK * (2 + dynamics.MERGE_TOL)
+    + dynamics._SCREEN_SLACK * 4
+)
+
+
+@property_settings
+@given(case=pool_queries(), bits=st.sampled_from((96, 128, 256)))
+# a conjugate pair: equal real parts, far apart
+@example(case=((1.5, 2.0), [(1.5, -2.0, 0.0, 0.0)]), bits=128)
+@example(case=((1.5, 2.0), [(1.5, -2.0, 0.0, 0.0), (1.5, 2.0, 0.0, 0.6)]), bits=128)
+# a point exactly at the window's upper end, and one past it
+@example(case=((1.0, 0.0), [(4.0, 0.0, 0.0, 0.0), (WINDOW_EDGE, 0.0, 0.0, 0.0)]), bits=128)
+@example(
+    case=((1.0, 0.0), [(4.0, 0.0, 0.0, 0.0), (math.nextafter(WINDOW_EDGE, 2), 0.0, 0.0, 0.0)]),
+    bits=128,
+)
+@example(case=((1.0, 0.0), []), bits=96)
+# distances MERGE_TOL * (1 -+ 2^-40), along the real and the imaginary axis
+@example(case=((0.5, 0.0), [(0.5, 0.0, 1 + 2.0**-40, 0.0)]), bits=128)
+@example(case=((0.5, 0.0), [(0.5, 0.0, 1 - 2.0**-40, 0.0)]), bits=128)
+@example(case=((0.5, 0.25), [(0.5, 0.25, 0.0, -(1 + 2.0**-40))]), bits=256)
+@example(case=((0.5, 0.25), [(0.5, 0.25, 0.0, 1 - 2.0**-40)]), bits=256)
+def test_pool_near_matches_full_mp_scan(case, bits):
+    (re, im), spec = case
+    with mp.workprec(bits):
+        tol = mp.mpf(dynamics.MERGE_TOL)
+        z = mp.mpc(re, im)
+        points = [mp.mpc(a, b) + tol * mp.mpc(dx, dy) for a, b, dx, dy in spec]
+        prec, rnd = mp.mp._prec_rounding
+        pool = dynamics._Pool(tol._mpf_, float(tol) * (1 + 2.0 ** (3 - bits)), prec, rnd)
+        for w in points:
+            pool.add(w._mpc_, complex(w))
+        assert pool.near(z._mpc_, complex(z)) is any(abs(z - w) <= tol for w in points)
+
+
+def test_depth_search_takes_real_steps_at_real_points(monkeypatch):
+    # at T2's depth every g-step at a point whose imaginary part is exactly 0,
+    # a real candidate or an orbit that has reached the real axis, runs in
+    # mpf arithmetic: the complex branch of _horner never sees one
+    real_mul = dynamics.mpc_mul
+    seen = []
+
+    def recording(acc, z, prec, rnd):
+        seen.append(z[1])
+        return real_mul(acc, z, prec, rnd)
+
+    monkeypatch.setattr(dynamics, "mpc_mul", recording)
+    assert common_preper_depth_search(QUAD, QUAD + 1, 4, 3).count == 26
+    assert seen and fzero not in seen
+
+
+@pytest.mark.parametrize("bits", (96, 128, 256))
+def test_cycle_polynomial_coefficients_are_not_rounded(bits):
+    # f^3 - x has coefficients of about 160 bits; rounded to the working
+    # precision they moved its roots, and the census found 12 points of
+    # period 1, 2 or 3 at 96 and 128 bits, where a quadratic has 2 + 2 + 6
+    f = to_binomial(RationalPoly((-(2**40) - 7, 3, 1)))
+    rep = common_preper_depth_search(f, f, 0, 3, precision_bits=bits)
+    assert rep.per_level == (10,)
 
 
 def test_depth_search_raises_when_root_finding_never_converges(monkeypatch):
