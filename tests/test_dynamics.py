@@ -742,7 +742,7 @@ finite_parts = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
     bits=st.sampled_from((53, 96, 128, 256)),
 )
 @example(coeffs=[Fraction(1), Fraction(-1, 3), Fraction(7, 5)], re=2.5, im=0.0, bits=128)
-def test_horner_matches_mpc_horner(coeffs, re, im, bits):
+def test_horner_raw_matches_mpc_horner(coeffs, re, im, bits):
     # bit for bit at non-real points and at real ones, where _horner runs
     # in mpf arithmetic
     with mp.workprec(bits):
@@ -754,6 +754,26 @@ def test_horner_matches_mpc_horner(coeffs, re, im, bits):
         prec, rnd = mp.mp._prec_rounding
         raw = dynamics._horner([c._mpf_ for c in cs], z._mpc_, prec, rnd)
     assert raw == acc._mpc_
+
+
+@property_settings
+@given(
+    coeffs=st.lists(st.fractions(max_denominator=12), min_size=2, max_size=6),
+    re=finite_parts,
+    bits=st.sampled_from((53, 96, 128, 256)),
+)
+def test_horner_real_matches_horner_raw(coeffs, re, bits):
+    # at a real point _horner's mpf loop gives the tuple that the mpc_mul and
+    # mpc_add_mpf loop gives
+    with mp.workprec(bits):
+        cs = [(mp.mpf(c.numerator) / c.denominator)._mpf_ for c in coeffs]
+        z = ((mp.mpf(re) / 3)._mpf_, fzero)
+        prec, rnd = mp.mp._prec_rounding
+        acc = (cs[0], fzero)
+        for c in cs[1:]:
+            acc = dynamics.mpc_add_mpf(dynamics.mpc_mul(acc, z, prec, rnd), c, prec, rnd)
+        real = dynamics._horner(cs, z, prec, rnd)
+    assert real == acc
 
 
 X2_MINUS_2 = (Fraction(-2), Fraction(0), Fraction(1))  # escape radius 4
