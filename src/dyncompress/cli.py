@@ -14,7 +14,6 @@ import click
 
 from .compression import CompressionWitness, check_window
 from .dynamics import (
-    OrbitUndecided,
     RootFindingError,
     common_preper_bound,
     common_preper_depth_search,
@@ -190,7 +189,7 @@ def common_depth(poly_path: str, shift: int, max_pre: int, max_per: int, precisi
             f, f + shift, max_pre=max_pre, max_per=max_per,
             precision_bits=precision,
         )
-    except (OrbitUndecided, RootFindingError) as exc:
+    except RootFindingError as exc:
         _echo_json({"error": str(exc)})
         sys.exit(1)
     except ValueError as exc:

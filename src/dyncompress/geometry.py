@@ -121,38 +121,26 @@ def resolve_precision(precision_bits: Optional[int], d: int, k: int) -> int:
     return precision_bits
 
 
-def _gram_eigenvalues(rows: Sequence[Sequence[int]], prec_bits: int) -> list:
-    """Eigenvalues of M*M^T (exact integer Gram) as mpf, descending."""
-    m = len(rows)
-    gram = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            gram[i][j] = gram[j][i] = sum(map(mul, rows[i], rows[j]))
-    with mp.workprec(prec_bits):
-        a = mp.matrix(m, m)
-        for i in range(m):
-            for j in range(m):
-                a[i, j] = mp.mpf(gram[i][j])
-        evals, _ = mp.eigsy(a)
-        out = [evals[i] if evals[i] > 0 else mp.mpf(0) for i in range(m)]
-    return sorted(out, reverse=True)
-
-
 def singular_values(rows: Sequence[Sequence[int]], prec_bits: int = 128) -> list:
     """Singular values of an integer matrix, descending, as mpf.
 
-    Works on the smaller Gram side; the count returned equals min(shape).
+    Square roots of the eigenvalues of the exact integer Gram matrix on the
+    smaller side, so the count returned equals min(shape); eigenvalues that
+    rounding pushes below zero count as zero.
     """
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
-    work = rows if len(rows) <= len(rows[0]) else _transpose(rows)
-    eigs = _gram_eigenvalues(work, prec_bits)
+    if len(rows) > len(rows[0]):
+        rows = list(zip(*rows))
+    m = len(rows)
     with mp.workprec(prec_bits):
-        return [mp.sqrt(e) for e in eigs]
-
-
-def _transpose(rows):
-    return [list(col) for col in zip(*rows)]
+        gram = mp.matrix(m, m)
+        for i in range(m):
+            for j in range(i, m):
+                gram[i, j] = gram[j, i] = mp.mpf(sum(map(mul, rows[i], rows[j])))
+        evals, _ = mp.eigsy(gram)
+        sigmas = [mp.sqrt(e) if e > 0 else mp.mpf(0) for e in evals]
+    return sorted(sigmas, reverse=True)
 
 
 def matrix_norms(rows: Sequence[Sequence[int]]) -> MatrixNorms:
@@ -210,23 +198,16 @@ def build_ellipsoid(
         )
 
 
-def ellipsoid_log_volume(
-    d: int, k: int, ell: int, precision_bits: Optional[int] = None
-) -> float:
+def ellipsoid_log_volume(d: int, k: int, ell: int) -> float:
     """Natural-log volume of the bounded-value ellipsoid."""
-    return build_ellipsoid(d, k, ell, precision_bits).log_volume
+    return build_ellipsoid(d, k, ell).log_volume
 
 
 def default_extension(d: int) -> int:
     """The slow-growing extension length floor(log_16 d) used by the check."""
     if d < 1:
         raise ValueError("d must be positive")
-    k = 0
-    power = 1
-    while power * 16 <= d:
-        power *= 16
-        k += 1
-    return k
+    return (d.bit_length() - 1) // 4
 
 
 def minkowski_check(
@@ -273,36 +254,17 @@ def minkowski_check(
     )
 
 
-HOLDING_DEGREE_CAP = 1 << 20
+def find_holding_threshold(ell: int = 2) -> dict:
+    """The check at d = 16^ell, the smallest degree of its domain, and at 2-4 times it.
 
-
-def find_holding_threshold(ell: int = 2, precision_bits: Optional[int] = None) -> dict:
-    """Smallest degree (within the checked domain) where the check holds.
-
-    Returns the threshold degree and a sample of checked degrees up to four
-    times the threshold, all of which must hold; raises if none holds up to
-    HOLDING_DEGREE_CAP.
+    At 16^ell, log Vol / d is about (ell + 1) log 2 + 0.726 against a
+    threshold of about log 2 per degree, so 16^ell is the threshold degree;
+    a failure there raises ValueError.
     """
-    lo = 16**ell  # smallest d in the checked domain
-    if minkowski_check(lo, ell, precision_bits).holds:
-        dstar = lo
-    else:
-        prev, cur = lo, lo * 2
-        while not minkowski_check(cur, ell, precision_bits).holds:
-            prev, cur = cur, cur * 2
-            if cur > HOLDING_DEGREE_CAP:
-                raise ValueError(f"no holding degree found up to {HOLDING_DEGREE_CAP}")
-        # bisect (prev, cur]: prev fails, cur holds
-        while cur - prev > 1:
-            mid = (prev + cur) // 2
-            if minkowski_check(mid, ell, precision_bits).holds:
-                cur = mid
-            else:
-                prev = mid
-        dstar = cur
-    samples = sorted({dstar, 2 * dstar, 3 * dstar, 4 * dstar})
-    results = [
-        {"d": s, "holds": minkowski_check(s, ell, precision_bits).holds}
-        for s in samples
+    dstar = 16**ell
+    samples = [
+        {"d": n * dstar, "holds": minkowski_check(n * dstar, ell).holds} for n in range(1, 5)
     ]
-    return {"ell": ell, "dstar": dstar, "samples": results}
+    if not samples[0]["holds"]:
+        raise ValueError(f"the volume check fails at d = 16^{ell} = {dstar}")
+    return {"ell": ell, "dstar": dstar, "samples": samples}

@@ -331,31 +331,19 @@ def to_binomial(f: RationalPoly) -> BinomialPoly:
     return BinomialPoly(tuple(_forward_differences([int(v) for v in vals])))
 
 
-def _int_poly_content(coeffs: list[int]) -> int:
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    return g or 1
-
-
 def _primitive(coeffs: list[int]) -> list[int]:
-    g = _int_poly_content(coeffs)
-    sign = -1 if coeffs[-1] < 0 else 1
-    g *= sign
+    g = math.gcd(*coeffs) or 1
+    if coeffs[-1] < 0:
+        g = -g
     return [c // g for c in coeffs]
 
 
 def _int_poly_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    # pseudo-remainder of a by b (deg a >= deg b), integer arithmetic only
-    a = list(a)
+    # pseudo-remainder of a by b (deg a >= deg b), integer arithmetic only;
+    # a and b arrive without trailing zeros and each step strips its result,
+    # so the leading coefficient read at the loop head is never zero
     lb = b[-1]
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
+    while len(a) >= len(b):
         shift = len(a) - len(b)
         la = a[-1]
         a = [c * lb for c in a]
@@ -387,7 +375,7 @@ def poly_gcd(f: RationalPoly, g: RationalPoly) -> RationalPoly:
         a, b = b, a
     while b:
         r = _int_poly_pseudo_rem(a, b)
-        if not r or not any(r):
+        if not r:
             a = b
             break
         a, b = b, _primitive(r)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
@@ -256,6 +257,8 @@ def test_default_extension_values():
     assert [default_extension(x) for x in (1, 15, 16, 255, 256, 4095, 4096)] == [
         0, 0, 1, 1, 2, 2, 3,
     ]
+    for j in range(1, 11):
+        assert (default_extension(16**j - 1), default_extension(16**j)) == (j - 1, j)
     with pytest.raises(ValueError):
         default_extension(0)
 
@@ -265,6 +268,15 @@ def test_find_holding_threshold_smallest_domain_point():
     assert out["dstar"] == 256
     assert all(s["holds"] for s in out["samples"])
     assert [s["d"] for s in out["samples"]] == [256, 512, 768, 1024]
+
+
+def test_find_holding_threshold_raises_when_smallest_degree_fails(monkeypatch):
+    # a failure at 16^ell is an error, not the start of a search for a larger degree
+    monkeypatch.setattr(
+        geometry, "minkowski_check", lambda d, ell: SimpleNamespace(holds=d != 16**ell)
+    )
+    with pytest.raises(ValueError, match="fails at d = 16"):
+        find_holding_threshold(ell=2)
 
 
 def test_resolve_precision(monkeypatch):
