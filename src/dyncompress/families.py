@@ -88,26 +88,19 @@ def _sign_window_value(d: int, m: int) -> int:
         return periodic_sign(d + 2, d) + 1
     if m == d + 3:
         return periodic_sign(d + 3, d) + d + 2
-    if m < 0:
-        refl = _sign_window_value(d, d + 1 - m)
-        return refl if d % 2 == 0 else -refl
-    raise ValueError(f"offset {m} outside the supported window for degree {d}")
+    refl = _sign_window_value(d, d + 1 - m)  # m < 0
+    return refl if d % 2 == 0 else -refl
 
 
-def compressing_values(d: int, lo: int = 1, hi: int | None = None) -> list[int]:
-    """Exact values of compressing_poly(d) on lo..hi (default [1, d+6]).
+def compressing_values(d: int) -> list[int]:
+    """Exact values of compressing_poly(d) on [1, d+6].
 
     O(1) per value via the sign pattern, instead of evaluating the degree-d
-    polynomial; only defined for the window lo >= 1, hi <= d + 6 where the
-    pattern shortcut applies.
+    polynomial.
     """
-    if hi is None:
-        hi = d + 6
-    if lo < 1 or hi > d + 6:
-        raise ValueError("value shortcut only covers [1, d+6]")
     if d % 2 == 0:
-        return [_sign_window_value(d, x - 3) + 2 for x in range(lo, hi + 1)]
-    return [_sign_window_value(d, x - 3) - x + d + 6 for x in range(lo, hi + 1)]
+        return [_sign_window_value(d, x - 3) + 2 for x in range(1, d + 7)]
+    return [_sign_window_value(d, x - 3) - x + d + 6 for x in range(1, d + 7)]
 
 
 def compressing_poly(d: int) -> RationalPoly:
@@ -118,8 +111,7 @@ def compressing_poly(d: int) -> RationalPoly:
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    shift = -3 - Fraction(d + 1, 2)
-    rp = sign_poly(d).compose_affine(1, shift)
+    rp = sign_poly(d).compose(RationalPoly.x() - 3 - Fraction(d + 1, 2))
     if d % 2 == 0:
         return rp + 2
     return rp + RationalPoly((Fraction(d + 6), Fraction(-1)))

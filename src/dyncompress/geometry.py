@@ -10,7 +10,6 @@ floating point on top of exact integer matrices.
 """
 from __future__ import annotations
 
-import decimal
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -65,11 +64,11 @@ class MinkowskiReport:
     log_volume: float
     log_threshold: float
     holds: bool
-    pairs: int
+    log_pairs: float  # log Vol - (d+1) log 2: the log is all a double log Vol determines
     sigmas: tuple[float, ...]
 
     def to_json(self) -> dict:
-        """JSON-ready dict; pairs in full decimal, sigma past the double range as None."""
+        """JSON-ready dict; a sigma past the double range is written as None."""
         return {
             "d": self.d,
             "k": self.k,
@@ -77,8 +76,7 @@ class MinkowskiReport:
             "log_volume": self.log_volume,
             "log_threshold": self.log_threshold,
             "holds": self.holds,
-            # str(int) refuses past sys.get_int_max_str_digits(); Decimal has no limit
-            "pairs": str(decimal.Decimal(self.pairs)),
+            "log_pairs": self.log_pairs,
             "sigmas": [s if math.isfinite(s) else None for s in self.sigmas],
         }
 
@@ -240,8 +238,7 @@ def minkowski_check(
         log_vol = mp.mpf(spec.log_volume)
         log_thr = mp.log(d + ell + 4) + d * mp.log(2)
         holds = bool(log_vol >= log_thr)
-        pairs_log = log_vol - (d + 1) * mp.log(2)
-        pairs = int(mp.floor(mp.e**pairs_log)) if pairs_log > 0 else 0
+        log_pairs = float(log_vol - (d + 1) * mp.log(2))
     return MinkowskiReport(
         d=d,
         k=k,
@@ -249,7 +246,7 @@ def minkowski_check(
         log_volume=float(log_vol),
         log_threshold=float(log_thr),
         holds=holds,
-        pairs=pairs,
+        log_pairs=log_pairs,
         sigmas=spec.sigmas,
     )
 

@@ -374,8 +374,6 @@ def harvest(reduced: LatticeBasis) -> list[CompressionWitness]:
     seen = set()
     out = []
     for w, a, b, sign in short:
-        if not any(w):
-            continue
         lo, hi = min(w), max(w)
         n = hi - lo + 1
         c = None

@@ -281,17 +281,11 @@ class RationalPoly:
         c = _as_fraction(c)
         return RationalPoly(tuple(a * c for a in self.coeffs))
 
-    def mul_linear(self, a: Fraction, b: Fraction) -> "RationalPoly":
-        """Multiply by (a*x + b) in one pass."""
-        return self * RationalPoly((b, a))
-
-    def compose_affine(self, a: Rat, b: Rat) -> "RationalPoly":
-        """The polynomial x -> f(a*x + b), computed exactly by Horner."""
-        a = _as_fraction(a)
-        b = _as_fraction(b)
+    def compose(self, inner: "RationalPoly") -> "RationalPoly":
+        """The polynomial x -> f(inner(x)), computed exactly by Horner."""
         acc = RationalPoly.zero()
         for c in reversed(self.coeffs):
-            acc = acc.mul_linear(a, b) + c
+            acc = acc * inner + c
         return acc
 
     def derivative(self) -> "RationalPoly":
@@ -301,7 +295,7 @@ class RationalPoly:
 def centered_difference(f: RationalPoly) -> RationalPoly:
     """The half-step difference f(x + 1/2) - f(x - 1/2); drops degree by one."""
     half = Fraction(1, 2)
-    return f.compose_affine(1, half) - f.compose_affine(1, -half)
+    return f.compose(RationalPoly.x() + half) - f.compose(RationalPoly.x() - half)
 
 
 def interpolate(values: Sequence[int], start: int = 0) -> BinomialPoly:
@@ -328,7 +322,7 @@ def to_binomial(f: RationalPoly) -> BinomialPoly:
     for i, v in enumerate(vals):
         if v.denominator != 1:
             raise ValueError(f"not integer-valued: f({i}) = {v}")
-    return BinomialPoly(tuple(_forward_differences([int(v) for v in vals])))
+    return interpolate([int(v) for v in vals])
 
 
 def _primitive(coeffs: list[int]) -> list[int]:
@@ -408,17 +402,16 @@ def poly_divmod(f: RationalPoly, g: RationalPoly) -> tuple[RationalPoly, Rationa
     rem = list(f.coeffs)
     quot = [Fraction(0)] * max(0, len(f.coeffs) - len(g.coeffs) + 1)
     lg = g.leading
-    while len(rem) >= len(g.coeffs) and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(g.coeffs):
-            break
+    # f has no trailing zeros and each step strips rem, so rem[-1] is never zero
+    while len(rem) >= len(g.coeffs):
         shift = len(rem) - len(g.coeffs)
         factor = rem[-1] / lg
         quot[shift] = factor
         for i, c in enumerate(g.coeffs):
             rem[shift + i] -= factor * c
         rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
     return RationalPoly(tuple(quot)), RationalPoly(tuple(rem))
 
 

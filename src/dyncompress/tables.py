@@ -185,16 +185,6 @@ def _verify_t2() -> TableReport:
             continue
         source, f = _t2_source(d)
         w = best_window(f, 3 * d + 20)
-        if w is None:
-            rows.append(
-                {
-                    "inputs": {"d": d, "source": source},
-                    "expected": expected,
-                    "computed": None,
-                    "pass": False,
-                }
-            )
-            continue
         bound = common_preper_bound(f, w.m, w.m - 1)
         rows.append(
             {

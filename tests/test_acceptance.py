@@ -63,7 +63,7 @@ def test_acceptance_2_compressing_family():
     for d in range(2, 201):
         b = compressing_poly_binomial(d)
         assert b.degree == d
-        vals = compressing_values(d, 1, d + 6)
+        vals = compressing_values(d)
         hi = d + 5 if d % 2 == 0 else d + 4
         assert min(vals) >= 1 and max(vals) <= hi
         assert vals == [b(x) for x in range(1, d + 7)]
@@ -78,9 +78,7 @@ def _lagrange_through(points):
         term = RationalPoly((Fraction(yi),))
         for j, (xj, _) in enumerate(points):
             if j != i:
-                term = term.mul_linear(Fraction(1), -Fraction(xj)).scale(
-                    Fraction(1, xi - xj)
-                )
+                term = (term * (RationalPoly.x() - xj)).scale(Fraction(1, xi - xj))
         total = total + term
     return total
 

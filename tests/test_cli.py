@@ -1,6 +1,7 @@
 """End-to-end CLI checks: output shapes, exit codes, option validation."""
-import decimal
+import hashlib
 import json
+import math
 
 import mpmath
 import pytest
@@ -8,9 +9,11 @@ from click.testing import CliRunner
 from mpmath.libmp.libhyper import NoConvergence
 
 import dyncompress.sweep as sweep_mod
+import dyncompress.tables as tables_mod
 from dyncompress.cli import _echo_json, main
 from dyncompress.geometry import minkowski_check
 from dyncompress.polynomials import BinomialPoly, poly_to_json
+from dyncompress.tables import TableReport
 
 QUAD = BinomialPoly((11, -4, 1))
 
@@ -34,6 +37,33 @@ def test_family_rd(runner):
     assert out["poly"] == {"basis": "binomial", "coeffs": ["11", "-4", "1"]}
     assert out["values"] == ["7", "4", "2", "1", "1", "2", "4", "7"]
     assert runner.invoke(main, ["family", "rd", "-d", "1"]).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        pytest.param(["verify-tables"],
+                     "f587b87b1941311ae11fd6c161ed8b8771f9ef8b4a076a3d2f45dbf2acc3dc82",
+                     id="verify-tables"),
+        pytest.param(["family", "rd", "-d", "40"],
+                     "4436aba76dc3f313b8b312f6955d23272fd202f51d2a7152956a909434321bba",
+                     id="family-rd-40"),
+        pytest.param(["common", "--poly", "QUAD", "--m", "8", "--n", "7"],
+                     "6075c51ade6b2d3d8f2c9280104ab4fc822bd9ff3fd556631f3f776fcea30109",
+                     id="common"),
+        pytest.param(["preimage-count", "--poly", "QUAD", "--n", "7"],
+                     "435b94359829aebbd847494e79d8bcf69dadbb94b9cf4eacbfde5e091f4c2167",
+                     id="preimage-count"),
+        pytest.param(["common-depth", "--poly", "QUAD", "--shift", "1"],
+                     "33b2070cccad3ea4596007857f9164d837ff139c07731ede7bf97f8028cb5ae1",
+                     id="common-depth"),
+    ],
+)
+def test_cli_output_pinned(runner, quad_file, args, digest):
+    # sha256 of the stdout bytes, with QUAD standing for the record quadratic's file
+    res = runner.invoke(main, [quad_file if a == "QUAD" else a for a in args])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.output.encode()).hexdigest() == digest
 
 
 def test_verify_witness_and_refutation(runner, quad_file):
@@ -84,6 +114,13 @@ def test_search_schedule_default(runner):
     out = json.loads(res.output)
     assert out and all(int(w["m"]) >= int(w["n"]) for w in out)
     assert any(w["m"] == 11 and w["n"] == 11 for w in out)
+
+
+@pytest.mark.parametrize("args", [["-d", "1"], ["-d", "2", "--k", "0"]])
+def test_search_rejects_bad_arguments(runner, args):
+    res = runner.invoke(main, ["search", *args])
+    assert res.exit_code == 2
+    assert "must be at least" in res.output
 
 
 def test_search_delta_validation(runner, tmp_path):
@@ -147,7 +184,7 @@ def test_volume_command(runner):
     assert res.exit_code == 0
     out = json.loads(res.output)
     assert out["holds"] is False
-    assert out["pairs"] == "0"
+    assert out["log_pairs"] < 0
     # too small for the default extension width: domain error becomes exit 2
     assert runner.invoke(main, ["volume", "-d", "100", "--ell", "2"]).exit_code == 2
     bad = ["volume", "-d", "2", "--ell", "2", "--k", "2", "--precision", "32"]
@@ -162,11 +199,15 @@ def _no_constants(name):
 
 
 def test_volume_command_pairs_past_int_str_limit(runner):
-    # pairs has about 4350 digits here, past str(int)'s default 4300
+    # the count of pairs has about 4350 digits here, past str(int)'s default
+    # 4300; only its log is determined, and that is what is printed
     res = runner.invoke(main, ["volume", "-d", "3000", "--ell", "2"])
     assert res.exit_code == 0, res.output
     out = json.loads(res.output, parse_constant=_no_constants)
-    assert decimal.Decimal(out["pairs"]) == minkowski_check(3000, 2).pairs
+    assert "pairs" not in out
+    assert out["log_pairs"] == minkowski_check(3000, 2).log_pairs
+    assert out["log_pairs"] == pytest.approx(out["log_volume"] - 3001 * math.log(2), rel=1e-12)
+    assert out["log_pairs"] > 4300 * math.log(10)
 
 
 def test_volume_command_prints_standard_json(runner):
@@ -244,6 +285,17 @@ def test_verify_tables_command(runner):
     assert [r["table_id"] for r in out] == ["T1", "T3"]
     assert all(r["pass"] for r in out)
     assert runner.invoke(main, ["verify-tables", "--tables", "T7"]).exit_code == 2
+
+
+def test_verify_tables_command_exits_1_on_mismatch(runner, monkeypatch):
+    # the bundled data is checksummed, so the mismatch comes from a stubbed check
+    row = {"inputs": {"d": 2}, "expected": 1, "computed": 2, "pass": False}
+    monkeypatch.setattr(tables_mod, "_verify_t1", lambda: TableReport("T1", (row,)))
+    res = runner.invoke(main, ["verify-tables", "--tables", "T1,T3"])
+    assert res.exit_code == 1
+    out = json.loads(res.output)
+    assert [(r["table_id"], r["pass"]) for r in out] == [("T1", False), ("T3", True)]
+    assert out[0]["rows"] == [row]
 
 
 @pytest.mark.parametrize("spelling", ["", " , "])

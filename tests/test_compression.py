@@ -56,6 +56,17 @@ def test_check_window_rejects_bad_bounds():
         check_window(QUAD, 5, 0)
 
 
+@pytest.mark.parametrize("m, n, values", [
+    (0, 1, ()),  # m below 1
+    (2, 0, (1, 1)),  # n below 1
+    (2, 3, (1, 1)),  # m < n
+    (3, 2, (1, 1)),  # values do not list f(1..m)
+])
+def test_compression_witness_rejects_bad_fields(m, n, values):
+    with pytest.raises(ValueError):
+        CompressionWitness(QUAD, m, n, values)
+
+
 def check_window_pointwise(f, m, n):
     """Reference check_window: evaluate f(1), ..., f(m) one point at a time."""
     if f.degree < 2:
@@ -99,6 +110,12 @@ def test_best_window_quadratic():
 def test_best_window_none_for_growing_poly():
     sq = BinomialPoly((0, 1, 2))  # x^2
     assert best_window(sq, 20) is None
+
+
+@pytest.mark.parametrize("coeffs", [(), (5,), (3, 1)])
+def test_best_window_none_below_degree_two(coeffs):
+    # the constant 5 maps [20] into [5]; only degree >= 2 certifies anything
+    assert best_window(BinomialPoly(coeffs), 20) is None
 
 
 def test_best_window_degree_six_row():

@@ -526,6 +526,27 @@ def test_depth_search_same_map_keeps_everything():
     assert rep.per_level == (10, 10)
 
 
+# x^2 + 3x - 2^40 - 7: |f'| is about 2^21 at each cycle point, so a 3-cycle's
+# multiplier is about 2^63
+REPELLING = BinomialPoly((-(2**40) - 7, 4, 2))
+UNDERCOUNT = (
+    "known undercount: the revisit floor R 2^-(7p/8) does not scale with the "
+    "multiplier (about 2^63) that a 3-cycle applies to a root's rounding error"
+)
+
+
+@pytest.mark.parametrize("bits", [
+    pytest.param(128, marks=pytest.mark.xfail(strict=True, reason=UNDERCOUNT)),
+    pytest.param(256, marks=pytest.mark.xfail(strict=True, reason=UNDERCOUNT)),
+    512,
+])
+def test_depth_search_keeps_strongly_repelling_cycles(bits):
+    # g = f, so all 2 + 2 + 6 points of period 1, 2 and 3 are common
+    rep = common_preper_depth_search(REPELLING, REPELLING, 0, 3, precision_bits=bits)
+    assert rep.per_level == (10,)
+    assert rep.count == 10
+
+
 def test_depth_search_fixed_points_not_shared():
     # fixed points of f drift under f + 1, so the common census is empty
     rep = common_preper_depth_search(QUAD, QUAD + 1, 0, 1)

@@ -13,7 +13,7 @@ from dyncompress.families import (
     periodic_sign,
     sign_poly,
 )
-from dyncompress.polynomials import RationalPoly, centered_difference, interpolate
+from dyncompress.polynomials import centered_difference, interpolate
 
 
 def test_sign_base_row():
@@ -110,31 +110,6 @@ def test_sign_poly_matches_periodic_sign():
         assert s(d + 3 - half) == periodic_sign(d + 3, d) + d + 2
 
 
-def _lagrange_through(points):
-    """Exact interpolating polynomial through rational (x, y) pairs."""
-    total = RationalPoly((Fraction(0),))
-    for i, (xi, yi) in enumerate(points):
-        term = RationalPoly((Fraction(yi),))
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            term = term.mul_linear(Fraction(1), -Fraction(xj)).scale(
-                Fraction(1, xi - xj)
-            )
-        total = total + term
-    return total
-
-
-def test_sign_poly_vs_interpolation_oracle():
-    # the alternating-sum construction equals interpolation through the
-    # periodic-sign values at the d+1 centered nodes
-    for d in range(0, 41):
-        half = Fraction(d + 1, 2)
-        pts = [(m - half, periodic_sign(m, d)) for m in range(d + 1)]
-        oracle = _lagrange_through(pts)
-        assert oracle.coeffs == sign_poly(d).coeffs
-
-
 def test_compressing_poly_quadratic():
     r2 = compressing_poly(2)
     assert r2.coeffs == (Fraction(11), Fraction(-9, 2), Fraction(1, 2))
@@ -147,22 +122,22 @@ def test_compressing_poly_cubic_value():
 def test_compressing_windows_medium_degrees():
     # even: values of [d+6] land in [d+5]; odd: in [d+4]
     for d in range(2, 41):
-        vals = compressing_values(d, 1, d + 6)
+        vals = compressing_values(d)
         hi = d + 5 if d % 2 == 0 else d + 4
         assert min(vals) >= 1 and max(vals) <= hi
 
 
 def test_compressing_window_spec_rows():
-    v12 = compressing_values(12, 1, 18)
+    v12 = compressing_values(12)
     assert min(v12) >= 1 and max(v12) <= 17
-    v13 = compressing_values(13, 1, 19)
+    v13 = compressing_values(13)
     assert min(v13) >= 1 and max(v13) <= 17
 
 
 def test_compressing_values_match_poly():
     for d in (2, 3, 7, 10, 25):
         poly = compressing_poly(d)
-        vals = compressing_values(d, 1, d + 6)
+        vals = compressing_values(d)
         assert vals == [poly(x) for x in range(1, d + 7)]
 
 
@@ -185,7 +160,7 @@ def test_compressing_poly_binomial_matches_interpolation_oracle():
     # the closed form against the forward-difference interpolation of its
     # values on [1, d+1], the construction it replaced
     for d in range(0, 401):
-        oracle = interpolate(compressing_values(d, 1, d + 1), 1)
+        oracle = interpolate(compressing_values(d)[: d + 1], 1)
         assert compressing_poly_binomial(d) == oracle
 
 
@@ -193,6 +168,13 @@ def test_compressing_poly_binomial_rejects_negative_degree():
     for d in (-1, -2, -7):
         with pytest.raises(ValueError):
             compressing_poly_binomial(d)
+
+
+@pytest.mark.parametrize("build", [central_factorial_poly, sign_poly, compressing_poly])
+def test_rational_families_reject_negative_degree(build):
+    for d in (-1, -2, -7):
+        with pytest.raises(ValueError):
+            build(d)
 
 
 @pytest.mark.parametrize("d", [1000, 2000])

@@ -199,9 +199,9 @@ def test_minkowski_small_case_fails():
     r = minkowski_check(2, 2, k=2)
     assert not r.holds
     assert r.log_threshold == pytest.approx(math.log(32), rel=1e-12)
-    assert r.pairs == 0
+    assert r.log_pairs < 0
     j = r.to_json()
-    assert j["holds"] is False and j["pairs"] == "0"
+    assert j["holds"] is False and j["log_pairs"] < 0
 
 
 def test_minkowski_first_admissible_degree_holds():
@@ -209,7 +209,7 @@ def test_minkowski_first_admissible_degree_holds():
     assert r.k == 2
     assert r.holds
     assert r.log_volume > r.log_threshold
-    assert r.pairs > 0
+    assert r.log_pairs > 0
 
 
 @pytest.mark.parametrize(
@@ -217,12 +217,12 @@ def test_minkowski_first_admissible_degree_holds():
     [
         pytest.param(
             256, 719.7719723255252, 4.343426936196531e76,
-            "bcc85d68ee38e0f8155aac21518301fd6c711918a1e2f87e79377f40d637cc9d",
+            "0d4d9116c38987b135836fbf27ce15b06b913a28394a8dad1b24787df9e87354",
             id="d256",
         ),
         pytest.param(
             1024, 3584.3204247474587, 4.772551677822941e307,
-            "d8c79b0a3e025ef820a262aaf62802b20282ba2d03360eb28cf1283d2eea4037",
+            "016f3a343041de4c19b6fab7c525740ad24547c671749f8c02f89c58f7fdf136",
             id="d1024",
         ),
     ],
@@ -236,13 +236,14 @@ def test_minkowski_json_pinned(d, log_volume, sigma, digest):
 
 
 def test_minkowski_json_huge_pairs_and_infinite_sigma():
-    pairs = 7 * 10**5000 + 1
+    # a count of 5000 digits is written as its log, a plain float
+    log_pairs = 5000 * math.log(10)
     r = MinkowskiReport(
         d=1, k=3, ell=2, log_volume=1.0, log_threshold=0.5, holds=True,
-        pairs=pairs, sigmas=(math.inf, 2.5),
+        log_pairs=log_pairs, sigmas=(math.inf, 2.5),
     )
     j = r.to_json()
-    assert j["pairs"] == "7" + "0" * 4999 + "1"
+    assert j["log_pairs"] == log_pairs and "pairs" not in j
     assert j["sigmas"] == [None, 2.5]
 
 
@@ -251,6 +252,16 @@ def test_minkowski_domain_guard():
         minkowski_check(255, 2)
     r = minkowski_check(255, 2, k=2)
     assert isinstance(r.holds, bool)
+    for ell, k in ((1, None), (1, 2), (2, 1), (2, 0)):
+        with pytest.raises(ValueError):
+            minkowski_check(256, ell, k=k)
+
+
+@pytest.mark.parametrize("rows", [[], [[]]])
+@pytest.mark.parametrize("measure", [singular_values, matrix_norms])
+def test_empty_matrix_rejected(measure, rows):
+    with pytest.raises(ValueError, match="nonempty"):
+        measure(rows)
 
 
 def test_default_extension_values():

@@ -52,6 +52,12 @@ def test_build_lattice_rejects():
         build_lattice(3, 0)
 
 
+@pytest.mark.parametrize("vectors", [(), ((1, 2), (3,))])
+def test_lattice_basis_rejects_empty_or_ragged(vectors):
+    with pytest.raises(ValueError):
+        LatticeBasis(vectors)
+
+
 def _gram_schmidt(vectors):
     """Exact rational Gram-Schmidt: returns (orthogonal vectors, mu)."""
     star = []
@@ -437,6 +443,12 @@ def test_harvest_empty_for_spread_out_basis():
         tuple(100 if i == j else 0 for j in range(8)) for i in range(3)
     )
     assert harvest(LatticeBasis(vecs)) == []
+
+
+def test_harvest_rejects_more_vectors_than_coordinates():
+    # three vectors of length 2 leave no extension width
+    with pytest.raises(ValueError, match="not a binomial value lattice"):
+        harvest(LatticeBasis(((1, 0), (0, 1), (1, 1))))
 
 
 def test_harvest_raises_on_corrupted_tail():

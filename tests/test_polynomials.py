@@ -109,6 +109,15 @@ def test_interpolate_rejects_non_integer_values():
         interpolate([1, 2.0, 4], 0)
 
 
+def test_interpolate_and_binomial_reject_bad_sizes():
+    with pytest.raises(ValueError):
+        interpolate([])
+    with pytest.raises(ValueError):
+        binomial(3, -1)
+    with pytest.raises(ValueError):
+        binomial(Fraction(1, 2), -1)
+
+
 def test_integrality_on_window():
     rng = random.Random(77)
     for _ in range(20):
@@ -177,7 +186,7 @@ def to_monomial_by_fractions(f):
     basis = RationalPoly.one()
     for i, a in enumerate(f.coeffs):
         acc = acc + basis.scale(a)
-        basis = basis.mul_linear(Fraction(1, i + 1), Fraction(-i, i + 1))
+        basis = basis * RationalPoly((Fraction(-i, i + 1), Fraction(1, i + 1)))
     return acc
 
 
@@ -507,8 +516,31 @@ def test_to_binomial_inverts_to_monomial(f):
 def test_json_wire_rejects_garbage():
     with pytest.raises((KeyError, ValueError, TypeError)):
         poly_from_json({"basis": "fourier", "coeffs": []})
+    for obj in ([], {"coeffs": ["1"]}, {"basis": "binomial"}, '"binomial"',
+                '{"basis": "monomial"}'):
+        with pytest.raises(ValueError):
+            poly_from_json(obj)
+
+
+@pytest.mark.parametrize("obj", [3, (1, 2), "x^2"])
+def test_poly_to_json_rejects_non_polynomials(obj):
+    with pytest.raises(TypeError):
+        poly_to_json(obj)
 
 
 def test_zero_polynomial_degree():
     assert BinomialPoly((0,)).degree == -1
     assert RationalPoly((Fraction(0),)).degree == -1
+
+
+def test_zero_and_constant_edge_cases():
+    zero = RationalPoly.zero()
+    f = RationalPoly((2, 4))  # 4x + 2
+    monic_f = RationalPoly((Fraction(1, 2), 1))
+    assert poly_gcd(zero, f) == monic_f
+    assert poly_gcd(f, zero) == monic_f
+    assert poly_gcd(zero, zero) == zero
+    assert squarefree_part(RationalPoly((-3,))) == RationalPoly.one()
+    assert squarefree_part(zero) == zero
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod(f, zero)

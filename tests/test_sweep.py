@@ -63,6 +63,14 @@ def test_search_degree_can_exhaust_schedule():
     assert not verify_record(records[0])
 
 
+@pytest.mark.parametrize("missing", ["m", "n", "coeffs"])
+def test_verify_record_needs_window_and_coeffs(missing):
+    fields = dict(d=2, k=6, found=True, m=8, n=7, coeffs=(11, -4, 1), elapsed_ms=0)
+    assert verify_record(SweepRecord(**fields))
+    fields[missing] = None
+    assert not verify_record(SweepRecord(**fields))
+
+
 def _cold_search(d, schedule, delta):
     """(k, m, strict) of the first find by per-k reduction from the generators."""
     for k in schedule:
