@@ -110,6 +110,43 @@ def build_interpolation_matrix(d: int, k: int) -> InterpolationMatrix:
     return InterpolationMatrix(d=d, k=k, entries=tuple(rows))
 
 
+def gh_ratios(d: int, top: int) -> tuple[float, ...]:
+    """Gaussian-heuristic ratio of the binomial value lattice at k = 1..top.
+
+    Entry k - 1 is target / GH at width k, as in lll_chain; top >= 2.  The
+    lattice L_k holds the all-ones vector, the free shift of harvest, and
+    projecting it out leaves rank d with volume det L_k / sqrt(d+k); its expected
+    shortest length is GH = sqrt(d / 2 pi e) (det L_k / sqrt(d+k))^(1/d)
+    (Gama and Nguyen, EUROCRYPT 2008).  The target is the norm of a
+    spread-(d+k-1) vector with uniform entries, (d+k-1)/(2 sqrt 3) sqrt(d+k).
+
+    L_k has the basis [I_(d+1) | A^T], A = build_interpolation_matrix(d, k),
+    so det L_k^2 = det(I_(d+1) + A^T A) = det(I_(k-1) + A A^T) (Sylvester).
+    A's rows do not depend on k, so these are the leading principal minors
+    of one Gram matrix, and one fraction-free (Bareiss) elimination on
+    integers gives them all exactly; floats enter only in their logs.
+    """
+    rows = build_interpolation_matrix(d, top).entries
+    m = [[int(i == j) + sum(map(mul, a, b)) for j, b in enumerate(rows)]
+         for i, a in enumerate(rows)]
+    # dets[k - 1] = det L_k^2; after step i, m[i][i] is the (i+1)-th leading minor
+    dets, prev = [1], 1
+    for i, pivot_row in enumerate(m):
+        pivot = pivot_row[i]
+        dets.append(pivot)
+        for row in m[i + 1:]:
+            for j in range(i + 1, len(m)):
+                row[j] = (row[j] * pivot - row[i] * pivot_row[j]) // prev
+        prev = pivot
+    log_scale = 0.5 * math.log(d / (2 * math.pi * math.e))
+    ratios = []
+    for k, det2 in enumerate(dets, start=1):
+        log_target = math.log((d + k - 1) / (2 * math.sqrt(3))) + 0.5 * math.log(d + k)
+        log_gh = log_scale + 0.5 * (math.log(det2) - math.log(d + k)) / d
+        ratios.append(math.exp(log_target - log_gh))
+    return tuple(ratios)
+
+
 def resolve_precision(precision_bits: Optional[int], d: int, k: int) -> int:
     """precision_bits if given, else max(64, 2*(d+k)); ValueError below 64."""
     if precision_bits is None:

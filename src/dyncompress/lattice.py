@@ -79,6 +79,11 @@ class LatticeInvariantError(RuntimeError):
 # m = d + 8 at every d in 41..100.
 CHAIN_DELTA = Fraction(99, 100)
 
+# The integer LLL divides exactly; its divisors are positive Gram
+# determinants, so the remainders are >= 0 and their bitwise or is 0 exactly
+# when every division was exact.
+_INEXACT = "integer LLL invariant broken: inexact division"
+
 
 def build_lattice(d: int, k: int) -> LatticeBasis:
     """Generators u_i = (C(1, i), ..., C(d+k, i)) for 0 <= i <= d.
@@ -101,14 +106,6 @@ def _round_quotient(num: int, den: int) -> int:
     twice = 2 * r
     if twice > den or (twice == den and q % 2 == 1):
         q += 1
-    return q
-
-
-def _exact_quotient(num: int, den: int) -> int:
-    """num / den for an exact division; anything else breaks the integer LLL."""
-    q, r = divmod(num, den)
-    if r:
-        raise LatticeInvariantError("integer LLL invariant broken: inexact division")
     return q
 
 
@@ -221,12 +218,15 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
         li[: i - 1], lh[: i - 1] = lh[: i - 1], li[: i - 1]
         lam_val = li[i - 1]
         d_lo, d_mid, d_hi = dd[i - 1], dd[i], dd[i + 1]
-        new_d = _exact_quotient(d_lo * d_hi + lam_val * lam_val, d_mid)
+        new_d, rem = divmod(d_lo * d_hi + lam_val * lam_val, d_mid)
         for t in range(i + 1, kmax + 1):
             lt = lam[t]
             old = lt[i]
-            lt[i] = _exact_quotient(d_hi * lt[i - 1] - lam_val * old, d_mid)
-            lt[i - 1] = _exact_quotient(new_d * old + lam_val * lt[i], d_hi)
+            lt[i], r_lo = divmod(d_hi * lt[i - 1] - lam_val * old, d_mid)
+            lt[i - 1], r_hi = divmod(new_d * old + lam_val * lt[i], d_hi)
+            rem |= r_lo | r_hi
+        if rem:
+            raise LatticeInvariantError(_INEXACT)
         dd[i] = new_d
 
     def init_row(i):
@@ -234,9 +234,12 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
         bi, li = entries(i), lam[i]
         for j in range(i + 1):
             u = sum(map(mul, bi, entries(j)))
-            lj = lam[j]
+            lj, rem = lam[j], 0
             for t in range(j):
-                u = _exact_quotient(dd[t + 1] * u - li[t] * lj[t], dd[t])
+                u, r = divmod(dd[t + 1] * u - li[t] * lj[t], dd[t])
+                rem |= r
+            if rem:
+                raise LatticeInvariantError(_INEXACT)
             if j < i:
                 li[j] = u
             else:

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .compression import CompressionWitness, check_window
+from .geometry import gh_ratios
 # lll_reduce stays bound here: perfbench's tracer test reads sweep.lll_reduce.
 from .lattice import harvest, lll_chain, lll_reduce  # noqa: F401
 from .polynomials import BinomialPoly
@@ -61,18 +62,32 @@ class SweepRecord:
         )
 
 
+# The Gaussian-heuristic ratio (geometry.gh_ratios) a width must clear to
+# head the schedule.  Fitted on the finds of the floor(log2 d) + 8 schedule
+# for d = 2..48: their smallest ratio is 0.4245, at d = 21, k = 10 (the
+# non-strict (31, 31)), and the next smallest are 0.600 (d = 10, k = 10)
+# and 0.611 (d = 22, k = 9).
+GH_MIN_RATIO = 0.42
+
+
 def default_k_schedule(d: int, k_max: int | None = None) -> tuple[int, ...]:
     """Descending extension widths to try for degree d.
 
-    Starts at floor(log2 d) + 8, which is wide enough to rediscover every
-    bundled record (degree 9 needs k = 10), and walks down to 2.
+    Starts at the widest k <= floor(log2 d) + 8 whose Gaussian-heuristic
+    ratio clears GH_MIN_RATIO (2 if none does), caps that at k_max, and
+    walks down to 2.  floor(log2 d) + 8 is wide enough to rediscover every
+    bundled record (degree 9 needs k = 10); above the ratio's cut the
+    lattice volume leaves no room for a window, and no find of d = 2..48
+    lies there.
     """
     if d < 2:
         raise ValueError(f"degree must be at least 2, got {d}")
-    top = (d.bit_length() - 1) + 8
+    if k_max is not None and k_max < 2:
+        raise ValueError(f"k_max must be at least 2, got {k_max}")
+    widest = (d.bit_length() - 1) + 8
+    ratios = gh_ratios(d, widest)
+    top = next((k for k in range(widest, 1, -1) if ratios[k - 1] >= GH_MIN_RATIO), 2)
     if k_max is not None:
-        if k_max < 2:
-            raise ValueError(f"k_max must be at least 2, got {k_max}")
         top = min(top, k_max)
     return tuple(range(top, 1, -1))
 
@@ -143,9 +158,10 @@ def run_sweep(
     """
     if not 2 <= d_from <= d_to:
         raise ValueError(f"need 2 <= d_from <= d_to, got {d_from}..{d_to}")
-    by_degree = {d: default_k_schedule(d, k_max) for d in range(d_from, d_to + 1)}
-    degrees = [d for d in by_degree if d not in skip_degrees]
-    schedules = [by_degree[d] for d in degrees]
+    if k_max is not None and k_max < 2:
+        raise ValueError(f"k_max must be at least 2, got {k_max}")
+    degrees = [d for d in range(d_from, d_to + 1) if d not in skip_degrees]
+    schedules = [default_k_schedule(d, k_max) for d in degrees]
     if jobs <= 1 or len(degrees) <= 1:
         for d, schedule in zip(degrees, schedules):
             yield from search_degree(d, schedule)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -16,11 +17,13 @@ from dyncompress.geometry import (
     default_extension,
     ellipsoid_log_volume,
     find_holding_threshold,
+    gh_ratios,
     matrix_norms,
     minkowski_check,
     resolve_precision,
     singular_values,
 )
+from dyncompress.lattice import build_lattice
 from dyncompress.polynomials import BinomialPoly, binomial
 
 
@@ -288,6 +291,51 @@ def test_find_holding_threshold_raises_when_smallest_degree_fails(monkeypatch):
     )
     with pytest.raises(ValueError, match="fails at d = 16"):
         find_holding_threshold(ell=2)
+
+
+@pytest.mark.parametrize("d,k,ratio", [
+    (60, 8, 1.18), (60, 9, 0.70), (100, 8, 1.56),
+    (150, 8, 2.04), (150, 9, 1.11), (200, 8, 2.52),
+])
+def test_gh_ratio_reproduces_roadmap_table(d, k, ratio):
+    ratios = gh_ratios(d, k)
+    assert len(ratios) == k
+    assert round(ratios[k - 1], 2) == ratio
+
+
+def _det(rows):
+    """Determinant by exact rational elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for i in range(len(m)):
+        p = next(r for r in range(i, len(m)) if m[r][i])
+        if p != i:
+            m[i], m[p] = m[p], m[i]
+            det = -det
+        det *= m[i][i]
+        for r in range(i + 1, len(m)):
+            f = m[r][i] / m[i][i]
+            m[r] = [a - f * b for a, b in zip(m[r], m[i])]
+    return det
+
+
+@pytest.mark.parametrize("d", [2, 5, 9])
+def test_gh_ratios_match_generator_gram_determinant(d):
+    # det L_k^2 from the Gram matrix of build_lattice's generators, the
+    # (d+1) x (d+1) side of Sylvester's identity, at every width
+    for k, got in enumerate(gh_ratios(d, 7), start=1):
+        u = build_lattice(d, k).vectors
+        det2 = _det([[sum(a * b for a, b in zip(x, y)) for y in u] for x in u])
+        gh = math.sqrt(d / (2 * math.pi * math.e)) * math.sqrt(det2 / (d + k)) ** (1 / d)
+        target = (d + k - 1) / (2 * math.sqrt(3)) * math.sqrt(d + k)
+        assert got == pytest.approx(target / gh, rel=1e-12)
+
+
+def test_gh_ratios_rejects():
+    with pytest.raises(ValueError):
+        gh_ratios(1, 4)
+    with pytest.raises(ValueError):
+        gh_ratios(5, 1)
 
 
 def test_resolve_precision(monkeypatch):

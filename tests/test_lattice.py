@@ -21,7 +21,6 @@ from dyncompress.lattice import (
     lll_reduce,
 )
 from dyncompress.polynomials import interpolate
-from dyncompress.sweep import default_k_schedule
 
 
 def test_build_lattice_small():
@@ -202,6 +201,14 @@ def test_lll_reduces_random_bases(basis, percent):
     assert abs(_det(_coordinates(basis, red.vectors))) == 1
 
 
+def _exact_quotient(num: int, den: int) -> int:
+    """num / den for an exact division; anything else breaks the integer LLL."""
+    q, r = divmod(num, den)
+    if r:
+        raise LatticeInvariantError("integer LLL invariant broken: inexact division")
+    return q
+
+
 def lll_reduce_reference(basis: LatticeBasis, delta: Fraction) -> tuple:
     """Reference integer LLL, with every size reduction behind one call.
 
@@ -230,18 +237,18 @@ def lll_reduce_reference(basis: LatticeBasis, delta: Fraction) -> tuple:
         for t in range(i - 1):
             lam[i][t], lam[i - 1][t] = lam[i - 1][t], lam[i][t]
         lam_val = lam[i][i - 1]
-        new_d = lattice._exact_quotient(dd[i - 1] * dd[i + 1] + lam_val * lam_val, dd[i])
+        new_d = _exact_quotient(dd[i - 1] * dd[i + 1] + lam_val * lam_val, dd[i])
         for t in range(i + 1, kmax + 1):
             old = lam[t][i]
-            lam[t][i] = lattice._exact_quotient(dd[i + 1] * lam[t][i - 1] - lam_val * old, dd[i])
-            lam[t][i - 1] = lattice._exact_quotient(new_d * old + lam_val * lam[t][i], dd[i + 1])
+            lam[t][i] = _exact_quotient(dd[i + 1] * lam[t][i - 1] - lam_val * old, dd[i])
+            lam[t][i - 1] = _exact_quotient(new_d * old + lam_val * lam[t][i], dd[i + 1])
         dd[i] = new_d
 
     def init_row(i):
         for j in range(i + 1):
             u = sum(x * y for x, y in zip(b[i], b[j]))
             for t in range(j):
-                u = lattice._exact_quotient(dd[t + 1] * u - lam[i][t] * lam[j][t], dd[t])
+                u = _exact_quotient(dd[t + 1] * u - lam[i][t] * lam[j][t], dd[t])
             if j < i:
                 lam[i][j] = u
             else:
@@ -335,9 +342,9 @@ def test_lll_chain_steps_match_reference_loop(d):
     (32, "2a6ca9894fd25d8f9bb432e788c9ecb4e6a3712af7fb5e477ba51ced9a70485f"),
 ])
 def test_lll_chain_golden_digest(d, digest):
-    # sha256 of the vectors of every chain step up to the top of d's schedule;
+    # sha256 of the vectors of every chain step up to floor(log2 d) + 8;
     # one changed size-reduction or swap decision anywhere changes it
-    chain = lll_chain(d, default_k_schedule(d)[0])
+    chain = lll_chain(d, (d.bit_length() - 1) + 8)
     text = repr(tuple(r.vectors for r in chain))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -400,11 +407,12 @@ def test_lll_rejects_dependent_basis():
         lll_reduce(LatticeBasis(((1, 0), (2, 0))))
 
 
-def test_lll_inexact_division_raises():
-    # the integer LLL's exact divisions raise even under python -O
-    assert lattice._exact_quotient(-12, 4) == -3
-    with pytest.raises(LatticeInvariantError):
-        lattice._exact_quotient(7, 2)
+def test_lll_inexact_division_raises(monkeypatch):
+    # the integer LLL's exact divisions raise even under python -O: with every
+    # remainder forced to 1, init_row's first division must raise
+    monkeypatch.setattr(lattice, "divmod", lambda a, b: (a // b, 1), raising=False)
+    with pytest.raises(LatticeInvariantError, match="inexact division"):
+        lll_reduce(build_lattice(2, 3))
 
 
 def test_quadratic_lattice_spread_floor():

@@ -27,12 +27,26 @@ from dyncompress.sweep import (
 def test_default_k_schedule_values():
     assert default_k_schedule(2) == (9, 8, 7, 6, 5, 4, 3, 2)
     assert default_k_schedule(9) == (11, 10, 9, 8, 7, 6, 5, 4, 3, 2)
-    assert default_k_schedule(40) == tuple(range(13, 1, -1))
+    # the Gaussian-heuristic cap lowers the top from floor(log2 d) + 8
+    assert default_k_schedule(12)[0] == 10
+    assert default_k_schedule(40) == tuple(range(9, 1, -1))
+    assert default_k_schedule(62)[0] == 10
     assert default_k_schedule(9, k_max=4) == (4, 3, 2)
     with pytest.raises(ValueError):
         default_k_schedule(1)
     with pytest.raises(ValueError):
         default_k_schedule(5, k_max=1)
+
+
+# k of the first find of the floor(log2 d) + 8 schedule at d = 2..48; each
+# degree not listed found its window at k = 8
+PARENT_FIND_K = {2: 6, 3: 8, 4: 6, 5: 8, 9: 10, 10: 10, 11: 9, 21: 10, 22: 9}
+
+
+def test_default_k_schedule_reaches_every_find():
+    # the cap never drops the width the uncapped schedule found a window at
+    for d in range(2, 49):
+        assert default_k_schedule(d)[0] >= PARENT_FIND_K.get(d, 8), d
 
 
 def test_search_degree_stops_at_first_find():
@@ -95,10 +109,11 @@ def test_search_degree_matches_cold_reduction(d):
     (32, "d211d834dff6131555aa8faaa1be13aa33012bfc11be2ac86228240f7998d2b1"),
 ])
 def test_search_widths_golden_witnesses(d, digest):
-    # sha256 of the witness JSON of every width the search harvests for d
+    # sha256 of the witness JSON of every width the search harvests for d,
+    # from floor(log2 d) + 8 down
     attempts = [
         [k, [w.to_json() for w in witnesses]]
-        for k, witnesses, _ in search_widths(d, default_k_schedule(d))
+        for k, witnesses, _ in search_widths(d, range((d.bit_length() - 1) + 8, 1, -1))
     ]
     text = json.dumps(attempts, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -161,12 +176,20 @@ def test_run_sweep_deterministic_and_parallel():
     assert {r.d for r in seq if r.found} == {2, 3, 4, 5}
 
 
-def test_run_sweep_validation_and_skip():
+def test_run_sweep_validation_and_skip(monkeypatch):
     with pytest.raises(ValueError):
         list(run_sweep(5, 2))
     with pytest.raises(ValueError):
         list(run_sweep(1, 3))
     assert list(run_sweep(3, 4, skip_degrees=frozenset({3, 4}))) == []
+    # skipped degrees cost no schedule, so a resumed sweep does no ratio work
+    ratio_degrees = []
+    monkeypatch.setattr(
+        sweep_mod, "gh_ratios", lambda d, top: ratio_degrees.append(d) or (1.0,) * top
+    )
+    monkeypatch.setattr(sweep_mod, "search_degree", lambda d, schedule: [])
+    assert list(run_sweep(2, 5, skip_degrees=frozenset({2, 4}))) == []
+    assert ratio_degrees == [3, 5]
 
 
 def test_sweep_to_file_resume(tmp_path):
