@@ -62,23 +62,23 @@ class SweepRecord:
         )
 
 
-# The Gaussian-heuristic ratio (geometry.gh_ratios) a width must clear to
-# head the schedule.  Fitted on the finds of the floor(log2 d) + 8 schedule
-# for d = 2..48: their smallest ratio is 0.4245, at d = 21, k = 10 (the
-# non-strict (31, 31)), and the next smallest are 0.600 (d = 10, k = 10)
-# and 0.611 (d = 22, k = 9).
-GH_MIN_RATIO = 0.42
+# The least count E = ratio^d of lattice vectors that the Gaussian heuristic
+# (ratio from geometry.gh_ratios) expects in the window-sized ball for a width
+# to head the schedule.  Fitted on every width of the floor(log2 d) + 8 chain for
+# d = 2..48: ln E >= -5.11 at each strict find (least at d = 10, k = 10), against
+# ln 1e-3 = -6.91; ln E <= -6.97 above the finds for d >= 16, and -18.0 and -10.85
+# at the non-strict (31, 31) finds it drops, d = 21 at k = 10 and d = 22 at k = 9.
+GH_MIN_COUNT = 1e-3
 
 
 def default_k_schedule(d: int, k_max: int | None = None) -> tuple[int, ...]:
     """Descending extension widths to try for degree d.
 
-    Starts at the widest k <= floor(log2 d) + 8 whose Gaussian-heuristic
-    ratio clears GH_MIN_RATIO (2 if none does), caps that at k_max, and
-    walks down to 2.  floor(log2 d) + 8 is wide enough to rediscover every
-    bundled record (degree 9 needs k = 10); above the ratio's cut the
-    lattice volume leaves no room for a window, and no find of d = 2..48
-    lies there.
+    Starts at the widest k <= floor(log2 d) + 8 whose expected count ratio^d
+    reaches GH_MIN_COUNT (2 if none does), caps that at k_max, and walks
+    down to 2.  floor(log2 d) + 8 is wide enough to rediscover every bundled
+    record (degree 9 needs k = 10); above the cut the lattice volume leaves
+    no room for a window, and no strict find of d = 2..48 lies there.
     """
     if d < 2:
         raise ValueError(f"degree must be at least 2, got {d}")
@@ -86,7 +86,7 @@ def default_k_schedule(d: int, k_max: int | None = None) -> tuple[int, ...]:
         raise ValueError(f"k_max must be at least 2, got {k_max}")
     widest = (d.bit_length() - 1) + 8
     ratios = gh_ratios(d, widest)
-    top = next((k for k in range(widest, 1, -1) if ratios[k - 1] >= GH_MIN_RATIO), 2)
+    top = next((k for k in range(widest, 1, -1) if ratios[k - 1] >= GH_MIN_COUNT ** (1 / d)), 2)
     if k_max is not None:
         top = min(top, k_max)
     return tuple(range(top, 1, -1))

@@ -28,9 +28,12 @@ def test_default_k_schedule_values():
     assert default_k_schedule(2) == (9, 8, 7, 6, 5, 4, 3, 2)
     assert default_k_schedule(9) == (11, 10, 9, 8, 7, 6, 5, 4, 3, 2)
     # the Gaussian-heuristic cap lowers the top from floor(log2 d) + 8
-    assert default_k_schedule(12)[0] == 10
-    assert default_k_schedule(40) == tuple(range(9, 1, -1))
-    assert default_k_schedule(62)[0] == 10
+    assert default_k_schedule(12)[0] == 9
+    assert default_k_schedule(40) == tuple(range(8, 1, -1))
+    assert default_k_schedule(62)[0] == 8
+    assert default_k_schedule(100)[0] == 8
+    assert default_k_schedule(150)[0] == 9
+    assert default_k_schedule(283)[0] == 9
     assert default_k_schedule(9, k_max=4) == (4, 3, 2)
     with pytest.raises(ValueError):
         default_k_schedule(1)
@@ -39,14 +42,27 @@ def test_default_k_schedule_values():
 
 
 # k of the first find of the floor(log2 d) + 8 schedule at d = 2..48; each
-# degree not listed found its window at k = 8
-PARENT_FIND_K = {2: 6, 3: 8, 4: 6, 5: 8, 9: 10, 10: 10, 11: 9, 21: 10, 22: 9}
+# degree not listed found its window at k = 8.  d = 21 and 22 first found the
+# non-strict (31, 31) at k = 10 and 9, which the cap deliberately no longer
+# reaches; their entries are the k = 8 of their strict windows.
+PARENT_FIND_K = {2: 6, 3: 8, 4: 6, 5: 8, 9: 10, 10: 10, 11: 9, 21: 8, 22: 8}
 
 
 def test_default_k_schedule_reaches_every_find():
     # the cap never drops the width the uncapped schedule found a window at
     for d in range(2, 49):
         assert default_k_schedule(d)[0] >= PARENT_FIND_K.get(d, 8), d
+
+
+@pytest.mark.parametrize("d,window", [(21, (29, 27)), (22, (30, 21))])
+def test_search_degree_finds_strict_window_under_cap(d, window):
+    # the cap starts below the non-strict (31, 31) widths, so the one record
+    # is the strict window at k = 8
+    records = search_degree(d, default_k_schedule(d))
+    assert len(records) == 1
+    rec = records[0]
+    assert (rec.k, rec.found, (rec.m, rec.n)) == (8, True, window)
+    assert verify_record(rec)
 
 
 def test_search_degree_stops_at_first_find():
@@ -174,6 +190,17 @@ def test_run_sweep_deterministic_and_parallel():
     ds = [r.d for r in seq]
     assert ds == sorted(ds)
     assert {r.d for r in seq if r.found} == {2, 3, 4, 5}
+
+
+def test_run_sweep_found_records_pinned():
+    # sha256 of (d, k, m, n, coeffs) of every find of run_sweep(11, 32), so a
+    # schedule or reduction change shows which finds moved
+    found = [[r.d, r.k, r.m, r.n, [str(c) for c in r.coeffs]]
+             for r in run_sweep(11, 32) if r.found]
+    assert [f[0] for f in found] == list(range(11, 33))
+    text = json.dumps(found)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b4e281c3bb68c34b8923d8b5df5c9cd15e1c170a02335f7cfdb51a8cf8055429")
 
 
 def test_run_sweep_validation_and_skip(monkeypatch):
