@@ -79,7 +79,7 @@ WindowResult = Union[CompressionWitness, WindowRefutation]
 
 
 def check_window(f: BinomialPoly, m: int, n: int) -> WindowResult:
-    """Exactly verify f([1, m]) inside [1, n] and deg f >= 2.
+    """Exactly verify f([1, m]) inside [1, n] and deg f >= 2; m >= n >= 1.
 
     The values f(1..m) come from one walk of f's difference table
     (BinomialPoly.values, O(m * deg) additions); a refutation names the
@@ -87,6 +87,8 @@ def check_window(f: BinomialPoly, m: int, n: int) -> WindowResult:
     """
     if m < 1 or n < 1:
         raise ValueError("window bounds must be positive")
+    if m < n:
+        raise ValueError("m >= n required for a meaningful window")
     if f.degree < 2:
         return WindowRefutation(f, m, n, reason="degree")
     vals = f.values(1, m)

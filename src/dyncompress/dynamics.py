@@ -276,11 +276,11 @@ def preimage_count_exact(f: BinomialPoly, n: int) -> PreimageCount:
     f and f' are reduced once modulo a fixed prime.  A fiber whose images
     are coprime there has gcd 1 over Q too, so it counts d preimages with no
     rational arithmetic (coprime_shifts_mod_p states the lemma).  One Euclid
-    on f' and the product of all the fibers' images mod f' clears every
-    fiber at once when none shares a factor with f' mod p; otherwise the
-    set is bisected down to the fibers that do.  Every fiber left, ramified
-    or not, takes the exact gcd over Q, so the result is a certificate
-    either way; exact_fibers says how many did.
+    per block of fibers, on f' and the block's product mod f', yields their
+    common factor G mod p: a unit clears the block, and otherwise each
+    fiber of the block is decided by Euclid on its image mod G.  Every
+    fiber left, ramified or not, takes the exact gcd over Q, so the result
+    is a certificate either way; exact_fibers says how many did.
     """
     if f.degree < 2:
         raise ValueError("preimage counting needs degree >= 2")

@@ -435,14 +435,15 @@ def _image_mod(f: RationalPoly, p: int) -> list[int] | None:
     return out if out[0] else None
 
 
-def _coprime_mod(a: list[int], b: list[int], p: int) -> bool:
-    """gcd(a, b) = 1 in F_p[x], by Euclid; highest degree first, leads nonzero.
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd of a and b in F_p[x] by Euclid: the last nonzero remainder.
 
-    Each remainder is a pseudo-remainder: every elimination step scales the
-    partial remainder by b's leading coefficient instead of dividing by it,
-    so no inverse is taken.  The scale is a unit of F_p, so the result is a
-    unit multiple of the ordinary remainder: same degree, zero exactly when
-    it is, and the same answer.
+    Highest degree first, leads nonzero; [] is zero.  Each remainder is a
+    pseudo-remainder: every elimination step scales the partial remainder by
+    b's leading coefficient instead of dividing by it, so no inverse is
+    taken.  The scale is a unit of F_p, so each remainder, the result
+    included, is a unit multiple of the ordinary one: a gcd of length 1
+    means a and b are coprime.
     """
     if len(a) < len(b):
         a, b = b, a
@@ -460,10 +461,8 @@ def _coprime_mod(a: list[int], b: list[int], p: int) -> bool:
         r = r[len(a) - width :]
         while r and r[0] == 0:
             r.pop(0)
-        if not r:
-            return False  # b divides a and has positive degree
         a, b = b, r
-    return True  # b is a nonzero constant
+    return b or a  # the last nonzero remainder
 
 
 def coprime_shifts_mod_p(
@@ -483,24 +482,21 @@ def coprime_shifts_mod_p(
     p divides a denominator or a leading coefficient, or the images share a
     factor, possibly one that exists only mod p.  Decide those exactly.
 
-    One Euclid decides a whole set S of shifts.  With r = f mod g in F_p[x]
-    (a long division: deg f - deg g + 1 rows, two when g = f'), f - c =
-    r - c mod g, and over a field gcd(prod (r - c), g) = 1 exactly when
-    every gcd(r - c, g) = 1.  The product over S is P(r) in F_p[x]/(g),
-    P(y) = prod (y - c), evaluated by Paterson and Stockmeyer (SIAM J.
-    Comput. 1973).  Expanding P costs about n^2 operations for n = |S|,
-    which outgrows the n m^2 of a product per shift when n > m^2 (m =
-    deg g), so S is split into blocks of about m^(4/3) shifts, the size that
-    minimises the cost per shift, and the blocks' values are multiplied
-    together.  One plan serves the call, with s = isqrt(min(block, number
-    of shifts)): the baby powers r^0, ..., r^s come from the matrix of
-    multiplication by r, and Horner in r^s runs over chunks of s
-    coefficients, one product by the matrix of r^s per chunk.  After the s
-    baby steps, a block of s^2 shifts takes s matrix-vector products instead
-    of s^2, and any set of L shifts, a half the bisection tests included,
-    takes L // s with no new matrix.  A set that fails is bisected down to
-    its single shifts, whose test is the per-fiber Euclid, so each entry is
-    the answer that Euclid on f - c and g alone gives.
+    One Euclid decides a block of shifts.  With r = f mod g in F_p[x] (a
+    long division: deg f - deg g + 1 rows, two when g = f'), f - c = r - c
+    mod g.  gcd(r - c, g) divides g and P(r), P(y) = prod (y - c) over the
+    block, so it divides G = gcd(g, P(r)) and equals gcd(r - c, G): a unit
+    G clears the block, and otherwise each shift takes Euclid on r - c mod
+    G and G, the answer that Euclid on f - c and g alone gives.  P(r) mod g
+    is evaluated by Paterson and Stockmeyer (SIAM J. Comput. 1973).
+    Expanding P costs about n^2 operations for n shifts, which outgrows the
+    n m^2 of a product per shift when n > m^2 (m = deg g), so blocks hold
+    about m^(4/3) shifts, the size that minimises the cost per shift.  One
+    plan serves every block, with s = isqrt(min(block, number of shifts)):
+    the baby powers r^0, ..., r^s come from the matrix of multiplication by
+    r, and Horner in r^s runs over chunks of s coefficients, one product by
+    the matrix of r^s per chunk, so a block of s^2 shifts takes s
+    matrix-vector products instead of s^2.
     """
     if f.degree < 1 or not g.coeffs:
         raise ValueError("need deg f >= 1 and g nonzero")
@@ -511,9 +507,25 @@ def coprime_shifts_mod_p(
     m = len(gb) - 1
     if m == 0:
         return [True] * len(shifts)  # a unit is coprime to everything
-    inv = pow(gb[0], -1, p)
-    # x^m = -sum tail[i] x^i mod g; residues mod g are lowest degree first
-    tail = [c * inv % p for c in reversed(gb[1:])]
+
+    def monic_tail(h):
+        """x^k = -sum t[i] x^i mod h (k = deg h): t, lowest degree first."""
+        inv = pow(h[0], -1, p)
+        return [c * inv % p for c in reversed(h[1:])]
+
+    def reduce(v, tail):
+        """v mod x^k + sum tail[i] x^i (k = len(tail)), by long division."""
+        k = len(tail)
+        v = v + [0] * (k - len(v))
+        for i in range(len(v) - 1, k - 1, -1):
+            v[i - k : i] = [(a - v[i] * t) % p for a, t in zip(v[i - k : i], tail)]
+        return v[:k]
+
+    def gcd_with(h, v):
+        """_gcd_mod of h and v, v lowest degree first."""
+        while v and v[-1] == 0:
+            v.pop()
+        return _gcd_mod(h, v[::-1], p)
 
     def times_x(v):
         top = v[-1]
@@ -526,16 +538,14 @@ def coprime_shifts_mod_p(
             cols.append(times_x(cols[-1]))
         return cols
 
-    r = fa[::-1] + [0] * (m - len(fa))
-    for i in range(len(r) - 1, m - 1, -1):  # r = f mod g, by long division
-        r[i - m : i] = [(a - r[i] * t) % p for a, t in zip(r[i - m : i], tail)]
-    del r[m:]
+    tail = monic_tail(gb)
+    r = reduce(fa[::-1], tail)
     # a block of b shifts costs about b^2 + 2 sqrt(b) m^2 operations, and
     # b + 2 m^2 / sqrt(b) per shift is least near b = m^(4/3)
     block = max(4, round(m ** (4 / 3)))
-    # one plan for every set evaluated: rows of the matrix of multiplication
-    # by r^s, row i followed by entry i of r^0, ..., r^(s-1), so one product
-    # of row i with h + [a_0, ..., a_(s-1)] is entry i of h r^s + sum a_t r^t
+    # one plan for every block: rows of the matrix of multiplication by r^s,
+    # row i followed by entry i of r^0, ..., r^(s-1), so one product of
+    # row i with h + [a_0, ..., a_(s-1)] is entry i of h r^s + sum a_t r^t
     s = max(1, math.isqrt(min(block, len(shifts))))
     powers = [[1] + [0] * (m - 1), r]
     rows = list(zip(*columns(r), powers[0]))
@@ -557,30 +567,15 @@ def coprime_shifts_mod_p(
             h = [sum(map(operator.mul, row, hv)) % p for row in rows]
         return h
 
-    out = [True] * len(shifts)
-
-    def coprime(lo, hi):
-        h = evaluate(shifts[lo : min(lo + block, hi)])
-        for b in range(lo + block, hi, block):  # times the next block's P(r)
-            q = evaluate(shifts[b : min(b + block, hi)])
-            h = [sum(map(operator.mul, row, h)) % p for row in zip(*columns(q))]
-        while h and h[-1] == 0:
-            h.pop()
-        return bool(h) and _coprime_mod(gb, h[::-1], p)
-
-    failing = [(0, len(shifts))] if shifts and not coprime(0, len(shifts)) else []
-    while failing:  # bisect each set known to fail
-        lo, hi = failing.pop()
-        if hi - lo == 1:
-            out[lo] = False
+    out = []
+    for lo in range(0, len(shifts), block):
+        cs = shifts[lo : lo + block]
+        G = gcd_with(gb, evaluate(cs))
+        if len(G) == 1:
+            out += [True] * len(cs)
             continue
-        mid = (lo + hi) // 2
-        if coprime(lo, mid):
-            failing.append((mid, hi))
-            continue
-        failing.append((lo, mid))
-        if not coprime(mid, hi):
-            failing.append((mid, hi))
+        rG = reduce(r, monic_tail(G))
+        out += [len(gcd_with(G, [(rG[0] - c) % p, *rG[1:]])) == 1 for c in cs]
     return out
 
 
@@ -611,12 +606,25 @@ def poly_from_json(obj) -> Union[BinomialPoly, RationalPoly]:
         raise ValueError("polynomial JSON needs 'basis' and 'coeffs' fields")
     basis = obj["basis"]
     coeffs = obj["coeffs"]
+    if not isinstance(coeffs, list):
+        raise ValueError("'coeffs' must be a list")
     if basis == "binomial":
-        return BinomialPoly(tuple(int(c) for c in coeffs))
+        return BinomialPoly(tuple(_json_int(c) for c in coeffs))
     if basis == "monomial":
         out = []
         for pair in coeffs:
-            num, den = pair
-            out.append(Fraction(int(num), int(den)))
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError(f"monomial coefficient {pair!r} is not a [num, den] pair")
+            num, den = map(_json_int, pair)
+            if den == 0:
+                raise ValueError("zero denominator")
+            out.append(Fraction(num, den))
         return RationalPoly(tuple(out))
     raise ValueError(f"unknown basis {basis!r}")
+
+
+def _json_int(c) -> int:
+    """A JSON integer or decimal string as an int; bools and floats are refused."""
+    if isinstance(c, bool) or not isinstance(c, (int, str)):
+        raise ValueError(f"coefficient {c!r} is not an integer or a decimal string")
+    return int(c)

@@ -152,7 +152,7 @@ def run_sweep(
     """Yield sweep records for d_from..d_to in deterministic (d, k) order.
 
     Degrees run on a worker pool when jobs > 1; the merge order is by degree
-    regardless of worker scheduling.  The range and k_max are checked
+    regardless of worker scheduling.  The range, k_max and jobs are checked
     before skip_degrees applies, so they raise ValueError even when every
     degree is skipped.
     """
@@ -160,6 +160,8 @@ def run_sweep(
         raise ValueError(f"need 2 <= d_from <= d_to, got {d_from}..{d_to}")
     if k_max is not None and k_max < 2:
         raise ValueError(f"k_max must be at least 2, got {k_max}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     degrees = [d for d in range(d_from, d_to + 1) if d not in skip_degrees]
     schedules = [default_k_schedule(d, k_max) for d in degrees]
     if jobs <= 1 or len(degrees) <= 1:
@@ -186,8 +188,8 @@ def sweep_to_file(
     to the end of its last terminal record, which drops the partial run and
     any line the crash tore.  Each degree's records are appended as one
     batch, and the file is opened only to append a finished batch, so an
-    argument error (degree range, k_max) raises before the file is created
-    or changed.
+    argument error (degree range, k_max, jobs) raises before the file is
+    created or changed.
     """
     path = Path(path)
     data = path.read_bytes() if path.exists() else b""

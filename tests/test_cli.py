@@ -101,6 +101,23 @@ def test_verify_bad_poly_file(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("obj", [
+    {"basis": "binomial", "coeffs": "123"},
+    {"basis": "monomial", "coeffs": ["12", "34"]},
+    {"basis": "monomial", "coeffs": [["1", "2", "3"]]},
+    {"basis": "binomial", "coeffs": [2.7, 1, 1]},
+    {"basis": "binomial", "coeffs": [True, 1]},
+    {"basis": "monomial", "coeffs": [["1", "0"]]},
+])
+def test_verify_rejects_non_integer_poly_data(runner, tmp_path, obj):
+    # each once parsed as another polynomial, or raised a traceback (exit 1)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    res = runner.invoke(main, ["verify", "--poly", str(path), "--m", "2", "--n", "1"])
+    assert res.exit_code == 2
+    assert "bad polynomial object" in res.output
+
+
 def test_search_fixed_k(runner):
     res = runner.invoke(main, ["search", "-d", "2", "--k", "6"])
     assert res.exit_code == 0

@@ -35,7 +35,7 @@ def test_check_window_range_refutation():
 
 def test_check_window_degree_refutation():
     lin = BinomialPoly((1, 1))
-    r = check_window(lin, 3, 5)
+    r = check_window(lin, 5, 3)
     assert isinstance(r, WindowRefutation)
     assert r.reason == "degree"
     assert r.failed_at is None
@@ -54,6 +54,10 @@ def test_check_window_rejects_bad_bounds():
         check_window(QUAD, 0, 1)
     with pytest.raises(ValueError):
         check_window(QUAD, 5, 0)
+    # m < n fails before evaluating, whether or not f([m]) lies in [n]
+    for f in (QUAD, BinomialPoly((10, 0, 1)), BinomialPoly((1, 1))):
+        with pytest.raises(ValueError):
+            check_window(f, 2, 5)
 
 
 @pytest.mark.parametrize("m, n, values", [

@@ -1,6 +1,5 @@
 """Exact polynomial arithmetic: binomial basis, interpolation, gcd, wire format."""
 import json
-import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -305,8 +304,8 @@ def test_coprime_shifts_mod_p_is_a_proof(f, g, shifts):
             assert poly_gcd(f - c, g).degree == 0
 
 
-def coprime_mod_monic(a, b, p):
-    """Euclid in F_p[x] with each divisor made monic: _coprime_mod's reference."""
+def gcd_mod_monic(a, b, p):
+    """Euclid in F_p[x] with each divisor made monic: _gcd_mod's reference."""
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
@@ -323,10 +322,13 @@ def coprime_mod_monic(a, b, p):
         r = r[len(a) - width :]
         while r and r[0] == 0:
             r.pop(0)
-        if not r:
-            return False
         a, b = b, r
-    return True
+    return b or a
+
+
+def monic_mod(a, p):
+    inv = pow(a[0], -1, p)
+    return [c * inv % p for c in a]
 
 
 @kernel_settings
@@ -337,12 +339,15 @@ def coprime_mod_monic(a, b, p):
         st.lists(st.integers(0, p - 1), min_size=1, max_size=9),
     ))
 )
-def test_coprime_mod_matches_monic_euclid(case):
-    # small primes make common factors frequent, so both answers occur
+def test_gcd_mod_matches_monic_euclid(case):
+    # small primes make common factors frequent, so gcds of every degree occur;
+    # the pseudo-remainders make _gcd_mod's gcd a unit multiple of the reference
     p, a, b = case
     a[0] = a[0] or 1
     b[0] = b[0] or 1
-    assert polynomials._coprime_mod(a, b, p) == coprime_mod_monic(a, b, p)
+    got, want = polynomials._gcd_mod(a, b, p), gcd_mod_monic(a, b, p)
+    assert len(got) == len(want)
+    assert monic_mod(got, p) == monic_mod(want, p)
 
 
 def image_mod(f, p):
@@ -375,7 +380,7 @@ def coprime_shifts_by_monic_euclid(f, g, shifts, p):
     fa, gb = image_mod(f, p), image_mod(g, p)
     if fa is None or gb is None:
         return [False] * len(shifts)
-    return [coprime_mod_monic(fa[:-1] + [(fa[-1] - c) % p], gb, p) for c in shifts]
+    return [len(gcd_mod_monic(fa[:-1] + [(fa[-1] - c) % p], gb, p)) == 1 for c in shifts]
 
 
 @kernel_settings
@@ -426,11 +431,26 @@ def test_coprime_shifts_mod_p_matches_per_shift_euclid_on_long_sets(p, f, g, shi
     assert got == coprime_shifts_by_monic_euclid(f, g, shifts, p)
 
 
+def gcd_calls(monkeypatch, f, g, shifts):
+    """coprime_shifts_mod_p(f, g, shifts) and the number of _gcd_mod calls it made."""
+    calls = []
+    real = polynomials._gcd_mod
+
+    def counting(a, b, p):
+        calls.append(b)
+        return real(a, b, p)
+
+    monkeypatch.setattr(polynomials, "_gcd_mod", counting)
+    return coprime_shifts_mod_p(f, g, shifts), len(calls)
+
+
 @pytest.mark.parametrize("position", [0, 8, 16])
-def test_coprime_shifts_mod_p_bisects_to_one_ramified_fiber(monkeypatch, position):
+def test_coprime_shifts_mod_p_names_one_ramified_fiber(monkeypatch, position):
     # f = (x - 2)^2 (x^2 + x + 5) + 4 over the 17 fibers 1..17: only f - 4
-    # shares a root with f' (checked by the reference), placed first, in the
-    # middle or last so that each edge of the bisection runs
+    # shares a root with f' (checked by the reference), placed in the first
+    # block, a middle one or the last, partial one.  m = deg f' = 3, so blocks
+    # hold 4 shifts: one Euclid per block, plus one per shift of the block
+    # whose gcd is not a unit
     x = RationalPoly.x()
     f = (x - 2) * (x - 2) * (x * x + x + 5) + 4
     g = f.derivative()
@@ -439,21 +459,45 @@ def test_coprime_shifts_mod_p_bisects_to_one_ramified_fiber(monkeypatch, positio
     expected = coprime_shifts_by_monic_euclid(f, g, shifts, 2**61 - 1)
     assert expected.count(False) == 1 and expected.index(False) == position
 
-    calls = []
-    real = polynomials._coprime_mod
-
-    def counting(a, b, p):
-        calls.append(b)
-        return real(a, b, p)
-
-    monkeypatch.setattr(polynomials, "_coprime_mod", counting)
-    assert coprime_shifts_mod_p(f, g, shifts) == expected
-    # one Euclid per set tested: the whole set, then at most two per halving
-    assert len(calls) <= 1 + 2 * math.ceil(math.log2(len(shifts)))
-    calls.clear()
+    failing = len(shifts[position // 4 * 4 :][:4])
+    assert gcd_calls(monkeypatch, f, g, shifts) == (expected, 5 + failing)
     clear = [q for q in shifts if q != 4]
-    assert coprime_shifts_mod_p(f, g, clear) == [True] * len(clear)
-    assert len(calls) == 1
+    assert gcd_calls(monkeypatch, f, g, clear) == ([True] * 16, 4)
+
+
+def test_coprime_shifts_mod_p_two_ramified_fibers_in_one_block(monkeypatch):
+    # f' = 30 x (x - 1)(x + 1)(x - 2): critical values f(0) = 0 and f(1) = 11
+    # share the first block of 6 shifts (m = 4), so its gcd is the proper
+    # factor x (x - 1) of f'; the second block is clear
+    x = RationalPoly.x()
+    f = RationalPoly((0, 0, 30, -10, -15, 6))
+    g = f.derivative()
+    assert g == (x * (x - 1) * (x + 1) * (x - 2)).scale(30)
+    shifts = [0, 1, 2, 3, 11, 5, 6, 7, 8, 9, 10, 12]
+    expected = coprime_shifts_by_monic_euclid(f, g, shifts, 2**61 - 1)
+    assert expected == [False, True, True, True, False] + [True] * 7
+    assert gcd_calls(monkeypatch, f, g, shifts) == (expected, 2 + 6)
+
+
+def test_coprime_shifts_mod_p_when_the_block_product_vanishes(monkeypatch):
+    # mod 7, r = x^2 mod 2x = 0 and P(0) = 0 * 0 * (-7) * (-1) = 0, so the
+    # gcd is g itself and every shift takes its own Euclid
+    x = RationalPoly.x()
+    monkeypatch.setattr(polynomials, "_PRIME", 7)
+    f, g, shifts = x * x, x.scale(2), [0, 0, 7, 1]
+    assert coprime_shifts_by_monic_euclid(f, g, shifts, 7) == [False, False, False, True]
+    assert gcd_calls(monkeypatch, f, g, shifts) == ([False, False, False, True], 1 + 4)
+
+
+def test_coprime_shifts_mod_p_failing_shift_in_the_last_partial_block(monkeypatch):
+    # 19 shifts in blocks of 4, 4, 4, 4, 3: the ramified fiber 4 ends the last
+    x = RationalPoly.x()
+    f = (x - 2) * (x - 2) * (x * x + x + 5) + 4
+    g = f.derivative()
+    shifts = [q for q in range(1, 20) if q != 4] + [4]
+    expected = [True] * 18 + [False]
+    assert coprime_shifts_by_monic_euclid(f, g, shifts, 2**61 - 1) == expected
+    assert gcd_calls(monkeypatch, f, g, shifts) == (expected, 5 + 3)
 
 
 def test_squarefree_part():
@@ -513,11 +557,25 @@ def test_to_binomial_inverts_to_monomial(f):
     assert to_binomial(f.to_monomial()) == f
 
 
+# polynomial objects that parsed as something else, or raised another error
+BAD_POLY_OBJECTS = (
+    {"basis": "binomial", "coeffs": "123"},  # read as (1, 2, 3)
+    {"basis": "monomial", "coeffs": "12"},
+    {"basis": "monomial", "coeffs": ["12", "34"]},  # read as 1/2 + 3x/4
+    {"basis": "monomial", "coeffs": [["1", "2", "3"]]},
+    {"basis": "binomial", "coeffs": [2.7, 1, 1]},  # 2.7 read as 2
+    {"basis": "binomial", "coeffs": [True, 1]},  # read as (1, 1)
+    {"basis": "binomial", "coeffs": [None, 1]},
+    {"basis": "monomial", "coeffs": [[1, 2.0]]},
+    {"basis": "monomial", "coeffs": [["1", "0"]]},  # ZeroDivisionError
+)
+
+
 def test_json_wire_rejects_garbage():
     with pytest.raises((KeyError, ValueError, TypeError)):
         poly_from_json({"basis": "fourier", "coeffs": []})
     for obj in ([], {"coeffs": ["1"]}, {"basis": "binomial"}, '"binomial"',
-                '{"basis": "monomial"}'):
+                '{"basis": "monomial"}', *BAD_POLY_OBJECTS):
         with pytest.raises(ValueError):
             poly_from_json(obj)
 

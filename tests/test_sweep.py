@@ -237,6 +237,7 @@ def test_sweep_to_file_resume(tmp_path):
     (11, 12, {"k_max": 0}),
     (12, 11, {}),
     (11, 12, {"k_max": 1}),
+    (11, 12, {"jobs": 0}),
 ])
 def test_sweep_to_file_rejects_bad_arguments_before_writing(tmp_path, d_from, d_to, kwargs):
     absent = tmp_path / "absent.jsonl"
@@ -276,7 +277,7 @@ def test_sweep_to_file_searches_degree_with_old_error_line(tmp_path):
     assert read_sweep_file(out) == written
 
 
-@pytest.mark.parametrize("kwargs", [{"k_max": 1}])
+@pytest.mark.parametrize("kwargs", [{"k_max": 1}, {"jobs": 0}])
 def test_sweep_to_file_rejects_bad_arguments_when_all_finished(tmp_path, kwargs):
     out = tmp_path / "sweep.jsonl"
     rec = SweepRecord(2, 6, True, 8, 7, (11, -4, 1), 3)
