@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, zip_longest
@@ -415,10 +416,12 @@ def poly_divmod(f: RationalPoly, g: RationalPoly) -> tuple[RationalPoly, Rationa
     return RationalPoly(tuple(quot)), RationalPoly(tuple(rem))
 
 
-# The prime of coprime_shifts_mod_p, read at call time.  Denominators of
-# integer-valued polynomials divide d! and every leading coefficient the
-# package meets is far below 2^61, so the prime almost never divides one.
-_PRIME = 2**61 - 1
+# The prime of coprime_shifts_mod_p, read at call time: the largest prime
+# below 2^30, so a residue is one CPython digit and a product of two is two.
+# Denominators of integer-valued polynomials divide d! and p exceeds every
+# degree the package reaches, so p divides none; a leading numerator that p
+# divides leaves f with no image, and every fiber takes the exact gcd.
+_PRIME = 2**30 - 35
 
 
 def _image_mod(f: RationalPoly, p: int) -> list[int] | None:
@@ -538,6 +541,7 @@ def coprime_shifts_mod_p(
             cols.append(times_x(cols[-1]))
         return cols
 
+    shifts = [c % p for c in shifts]  # one-digit residues, also past p
     tail = monic_tail(gb)
     r = reduce(fa[::-1], tail)
     # a block of b shifts costs about b^2 + 2 sqrt(b) m^2 operations, and
@@ -624,7 +628,9 @@ def poly_from_json(obj) -> Union[BinomialPoly, RationalPoly]:
 
 
 def _json_int(c) -> int:
-    """A JSON integer or decimal string as an int; bools and floats are refused."""
-    if isinstance(c, bool) or not isinstance(c, (int, str)):
+    """A JSON integer or a string matching -?[0-9]+ as an int; all else is refused."""
+    if isinstance(c, bool) or not (
+        isinstance(c, int) or isinstance(c, str) and re.fullmatch(r"-?[0-9]+", c)
+    ):
         raise ValueError(f"coefficient {c!r} is not an integer or a decimal string")
     return int(c)

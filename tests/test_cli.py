@@ -108,6 +108,7 @@ def test_verify_bad_poly_file(runner, tmp_path):
     {"basis": "binomial", "coeffs": [2.7, 1, 1]},
     {"basis": "binomial", "coeffs": [True, 1]},
     {"basis": "monomial", "coeffs": [["1", "0"]]},
+    {"basis": "binomial", "coeffs": ["1_0", 1]},
 ])
 def test_verify_rejects_non_integer_poly_data(runner, tmp_path, obj):
     # each once parsed as another polynomial, or raised a traceback (exit 1)

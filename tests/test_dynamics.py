@@ -352,6 +352,17 @@ def test_preimage_count_unlucky_prime_cases(monkeypatch):
     assert pc.exact_fibers == 2
 
 
+def test_preimage_count_lead_divisible_by_the_prime():
+    # f = p x^2 - p x + 1: its monomial lead is the production prime, so f
+    # has no image mod p and every fiber takes the exact gcd
+    p = polynomials._PRIME
+    f = BinomialPoly((1, 0, 2 * p))
+    assert f.to_monomial().leading == p
+    pc = preimage_count_exact(f, 5)
+    assert pc.per_fiber == preimage_counts_by_gcd(f, 5)
+    assert pc.exact_fibers == 5
+
+
 def test_common_bound_reach_needs_no_exact_gcd(monkeypatch):
     # every fiber of r_2..r_40, r_60 and r_80 is cleared mod p, so no exact
     # gcd runs; with one exact gcd per fiber r_60 and r_80 were the slow end

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: binomial basis, interpolation, gcd, wire format."""
 import json
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -333,7 +334,7 @@ def monic_mod(a, p):
 
 @kernel_settings
 @given(
-    st.sampled_from([2, 3, 7, 2**61 - 1]).flatmap(lambda p: st.tuples(
+    st.sampled_from([2, 3, 7, polynomials._PRIME, 2**61 - 1]).flatmap(lambda p: st.tuples(
         st.just(p),
         st.lists(st.integers(0, p - 1), min_size=1, max_size=9),
         st.lists(st.integers(0, p - 1), min_size=1, max_size=9),
@@ -362,7 +363,7 @@ def image_mod(f, p):
 
 @kernel_settings
 @given(
-    p=st.sampled_from([2, 3, 7, 2**61 - 1]),
+    p=st.sampled_from([2, 3, 7, polynomials._PRIME, 2**61 - 1]),
     f=small_rational_polys.filter(lambda f: bool(f.coeffs)),
 )
 @example(p=3, f=RationalPoly((Fraction(1), Fraction(2, 3), Fraction(5))))
@@ -385,7 +386,7 @@ def coprime_shifts_by_monic_euclid(f, g, shifts, p):
 
 @kernel_settings
 @given(
-    p=st.sampled_from([2, 3, 7, 2**61 - 1]),
+    p=st.sampled_from([2, 3, 7, polynomials._PRIME, 2**61 - 1]),
     f=small_rational_polys.filter(lambda f: f.degree >= 1),
     g=st.lists(
         st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)), min_size=1, max_size=11
@@ -412,7 +413,7 @@ def test_coprime_shifts_mod_p_matches_per_shift_euclid(p, f, g, shifts):
 
 @kernel_settings
 @given(
-    p=st.sampled_from([2, 3, 7, 2**61 - 1]),
+    p=st.sampled_from([2, 3, 7, polynomials._PRIME, 2**61 - 1]),
     f=small_rational_polys.filter(lambda f: f.degree >= 1),
     g=st.lists(
         st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)), min_size=1, max_size=13
@@ -456,7 +457,7 @@ def test_coprime_shifts_mod_p_names_one_ramified_fiber(monkeypatch, position):
     g = f.derivative()
     shifts = [q for q in range(1, 18) if q != 4]
     shifts.insert(position, 4)
-    expected = coprime_shifts_by_monic_euclid(f, g, shifts, 2**61 - 1)
+    expected = coprime_shifts_by_monic_euclid(f, g, shifts, polynomials._PRIME)
     assert expected.count(False) == 1 and expected.index(False) == position
 
     failing = len(shifts[position // 4 * 4 :][:4])
@@ -474,7 +475,7 @@ def test_coprime_shifts_mod_p_two_ramified_fibers_in_one_block(monkeypatch):
     g = f.derivative()
     assert g == (x * (x - 1) * (x + 1) * (x - 2)).scale(30)
     shifts = [0, 1, 2, 3, 11, 5, 6, 7, 8, 9, 10, 12]
-    expected = coprime_shifts_by_monic_euclid(f, g, shifts, 2**61 - 1)
+    expected = coprime_shifts_by_monic_euclid(f, g, shifts, polynomials._PRIME)
     assert expected == [False, True, True, True, False] + [True] * 7
     assert gcd_calls(monkeypatch, f, g, shifts) == (expected, 2 + 6)
 
@@ -496,8 +497,15 @@ def test_coprime_shifts_mod_p_failing_shift_in_the_last_partial_block(monkeypatc
     g = f.derivative()
     shifts = [q for q in range(1, 20) if q != 4] + [4]
     expected = [True] * 18 + [False]
-    assert coprime_shifts_by_monic_euclid(f, g, shifts, 2**61 - 1) == expected
+    assert coprime_shifts_by_monic_euclid(f, g, shifts, polynomials._PRIME) == expected
     assert gcd_calls(monkeypatch, f, g, shifts) == (expected, 5 + 3)
+
+
+def test_production_prime_is_one_digit():
+    # every residue is one 30-bit CPython digit, every product of two is two
+    p = polynomials._PRIME
+    assert p < 2**30
+    assert all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
 def test_squarefree_part():
@@ -568,6 +576,11 @@ BAD_POLY_OBJECTS = (
     {"basis": "binomial", "coeffs": [None, 1]},
     {"basis": "monomial", "coeffs": [[1, 2.0]]},
     {"basis": "monomial", "coeffs": [["1", "0"]]},  # ZeroDivisionError
+    {"basis": "binomial", "coeffs": [" 12 ", 1]},  # int() strips the spaces
+    {"basis": "binomial", "coeffs": ["1_0", 1]},  # read as 10
+    {"basis": "binomial", "coeffs": ["+5", 1]},
+    {"basis": "monomial", "coeffs": [["١٢", "1"]]},  # Arabic-Indic digits, read as 12
+    {"basis": "monomial", "coeffs": [["1", ""]]},
 )
 
 
