@@ -92,10 +92,12 @@ class BinomialPoly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        cleaned = list(self.coeffs)
-        for c in cleaned:
-            if not isinstance(c, int):
-                raise TypeError("binomial basis coefficients must be integers")
+        # operator.index refuses every non-integer and returns an exact int,
+        # so a bool is stored as 0 or 1 and str() writes its digits
+        try:
+            cleaned = list(map(operator.index, self.coeffs))
+        except TypeError:
+            raise TypeError("binomial basis coefficients must be integers") from None
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         object.__setattr__(self, "coeffs", tuple(cleaned))

@@ -450,6 +450,9 @@ def test_depth_search_agrees_at_the_precision_floor(deg, max_pre, max_per):
     (2, 4, 3, 256, 26, "c1c331cff98102b11f98cd300afe9880f47785f5e05c764c2d6fd47d5142a0e8"),
     (3, 1, 2, 128, 3, "c347d1bc2a42c67ba2ce3894bd18ea9163c97b711dff5d0e60ac013a3e149c90"),
     (3, 2, 2, 128, 12, "67bf490102aa44f9216d9458403adf1c3239a3640d2e1737bbd8d7c4c46dc491"),
+    # 320 candidates at the deepest level, most of whose orbits reuse one
+    # already checked; pinned before the census shared orbits
+    (2, 6, 3, 128, 26, "64b3f8619ebc19d038f3c7748c06a3279aa94f1a6ee99d77feb1b94ec41c5afd"),
 ])
 def test_depth_search_report_golden(deg, max_pre, max_per, bits, count, digest):
     # sha256 of the full report JSON (points to the last float bit), as the
@@ -878,6 +881,100 @@ def test_retention_matches_reference_loop(coeffs, re, im, bits):
         retention = dynamics._Retention(RationalPoly(coeffs), bits, 40, 1 + 2.0 ** (3 - bits))
         z = mp.mpc(re, im)
         assert retention.keeps(z._mpc_, complex(z)) is reference_keeps(coeffs, z, bits, 40)
+
+
+def counting_horner(monkeypatch):
+    """A list whose one entry counts the _horner calls made from now on."""
+    calls = [0]
+    horner = dynamics._horner
+
+    def counted(*args):
+        calls[0] += 1
+        return horner(*args)
+
+    monkeypatch.setattr(dynamics, "_horner", counted)
+    return calls
+
+
+def test_retention_sharing_matches_reference_loop(monkeypatch):
+    # one _Retention, so one memo, over a sequence of candidates for
+    # g = x^2 - 2 = f - 2 with f = x^2: sibling roots +-z of f(z) = -k have
+    # one g-image bit for bit.  Each keeps must be reference_keeps', and the
+    # _horner count of each shows which path it took.
+    calls = counting_horner(monkeypatch)
+    with mp.workprec(128):
+        retention = dynamics._Retention(RationalPoly(X2_MINUS_2), 128, 40, 1 + 2.0**-125)
+        pull = dynamics._quadratic_pull(mp.mpf(1), mp.mpf(0))
+
+        def check(z, horner_calls):
+            z = mp.mpc(z)
+            calls[0] = 0
+            kept = retention.keeps(z._mpc_, complex(z))
+            assert kept is reference_keeps(X2_MINUS_2, z, 128, 40)
+            assert calls[0] == horner_calls
+            return kept
+
+        # both roots of one pull: -+p0, p0 = 2cos(2pi/31) on a 5-cycle
+        # p0 -> p1 -> ... -> p4 -> p0 (multiplier 32)
+        p0 = 2 * mp.cos(2 * mp.pi / 31)
+        low, high = pull(-p0 * p0)
+        assert low == -high
+        # -p0 -> p1 -> p2 -> p3 -> p4 -> p0 -> p1, which revisits: 6 steps
+        assert check(low, 6)
+        # p0 computes p1, finds it stored and copies p2, p3, p4 and p0;
+        # that copied p0 revisits the candidate's own start
+        assert check(high, 1)
+        # -p2 computes p3, now stored by the orbit of p0, which itself
+        # copied it: a merge into an orbit that copied.  That orbit ends
+        # at p4, before the revisit, so the copy run outlasts it and
+        # _horner resumes: p0, p1, p2, then p3 revisits
+        p1 = low * low - 2
+        p2 = p1 * p1 - 2
+        source, _ = retention.memo[mp.mpc(p2 * p2 - 2)._mpc_]
+        assert source[0][0] == mp.mpc(high)._mpc_
+        assert check(-p2, 5)
+        # with a fresh memo, -+s for s = 2cos(pi/62):
+        # s -> t = -p4 -> p0 -> ... -> p4 -> p0.  The sibling copies the
+        # cycle from p0 on, then computes p0 again, which revisits a copied
+        # point
+        retention = dynamics._Retention(RationalPoly(X2_MINUS_2), 128, 40, 1 + 2.0**-125)
+        s = 2 * mp.cos(mp.pi / 62)
+        low, high = pull(-s * s)
+        assert check(low, 7)
+        assert check(high, 2)
+        # a copy run cut by the step budget: neither orbit revisits
+        low, high = pull(mp.mpf(-1) / 3)
+        assert not check(low, 40)
+        assert not check(high, 1)
+        # a copy run that outlasts an orbit which escaped: the sibling
+        # copies 7 points, then computes the escaping one itself
+        low, high = pull(mp.mpf(-4.0001))
+        assert not check(low, 9)
+        assert not check(high, 2)
+
+
+def test_retention_copy_run_stops_at_the_step_budget():
+    # g = x^2 - 2 at a budget of 2 steps.  c = 2cos(4pi/9) -> -a -> b with
+    # a = 2cos(pi/9), and a -> b -> c', c' within the floor of c
+    with mp.workprec(128):
+        retention = dynamics._Retention(RationalPoly(X2_MINUS_2), 128, 2, 1 + 2.0**-125)
+        c = 2 * mp.cos(4 * mp.pi / 9)
+        a = -(c * c - 2)
+        for z in (a, c):
+            z = mp.mpc(z)
+            assert not reference_keeps(X2_MINUS_2, z, 128, 2)
+            assert not retention.keeps(z._mpc_, complex(z))
+        # c's second point b is a's first, so c copies from a's orbit; the
+        # stored c' would revisit c, but only as c's third point
+        assert reference_keeps(X2_MINUS_2, mp.mpc(c), 128, 3)
+
+
+def test_depth_search_shares_orbits_at_t2_depth(monkeypatch):
+    # 3,814 _horner steps without sharing, 1,956 with it; same census
+    pinned = shifted_census(2, 4, 3, 128)
+    calls = counting_horner(monkeypatch)
+    assert common_preper_depth_search(QUAD, QUAD + 1, 4, 3, precision_bits=128) == pinned
+    assert calls[0] <= 2000
 
 
 def test_fixed_point_is_kept_on_the_real_axis(monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dyncompress.polynomials as polynomials
+from dyncompress.compression import check_window
 from dyncompress.polynomials import (
     BinomialPoly,
     RationalPoly,
@@ -550,6 +551,23 @@ def test_json_wire_monomial():
     }
     back = poly_from_json(obj)
     assert back.coeffs == f.coeffs
+
+
+def test_json_wire_round_trips_bool_coefficients():
+    # bools are ints to Python, but str() writes them as "True" and "False",
+    # which poly_from_json refuses; they are stored as the ints they equal
+    for f, coeffs in (
+        (BinomialPoly((True, 1, 1)), (1, 1, 1)),
+        (BinomialPoly((False, 1, True, False)), (0, 1, 1)),
+        (interpolate([True, False, 3]), (1, -1, 4)),
+    ):
+        assert f.coeffs == coeffs and set(map(type, f.coeffs)) == {int}
+        obj = poly_to_json(f)
+        assert obj["coeffs"] == [str(c) for c in coeffs]
+        assert poly_from_json(json.dumps(obj)) == f
+    witness = check_window(BinomialPoly((True, True, -2)), 2, 2)  # f(1), f(2) = 2, 1
+    assert witness.to_json()["poly"]["coeffs"] == ["1", "1", "-2"]
+    assert witness.to_json()["values"] == ["2", "1"]
 
 
 @kernel_settings
