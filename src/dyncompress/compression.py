@@ -9,6 +9,7 @@ the largest one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Optional, Union
 
 from .polynomials import BinomialPoly, poly_to_json
@@ -46,7 +47,9 @@ class CompressionWitness:
             "m": self.m,
             "n": self.n,
             "strict": self.strict,
-            "values": [str(v) for v in self.values],
+            # operator.index writes a bool as its digit, here rather than
+            # in a per-witness check that harvest and check_window would pay
+            "values": [str(index(v)) for v in self.values],
         }
 
 

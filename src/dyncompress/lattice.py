@@ -25,12 +25,14 @@ Harvest keeps a combination only when its spread, max - min, is at most
 width - 1, since only then does a shift put its values in [1, width].  The
 spread of a +- b is at least its difference between the coordinates where a
 (or b) is largest and smallest, so a sum or difference is skipped in O(1)
-when either reading exceeds width - 1.  Interpolation is linear, so a
-survivor's binomial coefficients are the sum or difference of its basis
-vectors' coefficients, with its constant shift added to the C(x, 0) one.
-Each basis vector that joins a deduplicated survivor is interpolated once,
-and its tail is checked against that interpolation then; after that a
-survivor costs O(d) additions.
+when either reading exceeds width - 1.  It runs in one pass: each survivor
+of that screen goes straight to its two witnesses, itself and its negation
+shifted to minimum 1, deduplicated on those shifted value vectors.
+Interpolation is linear, so a survivor's binomial coefficients are the sum
+or difference of its basis vectors' coefficients, with its constant shift
+added to the C(x, 0) one.  Each basis vector that joins a deduplicated
+survivor is interpolated once, and its tail is checked against that
+interpolation then; after that a survivor costs O(d) additions.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import comb
-from operator import add, lshift, mul, sub
+from operator import add, lshift, mul, neg, sub
 
 from .compression import CompressionWitness
 from .polynomials import BinomialPoly, binomial, interpolate
@@ -314,19 +316,23 @@ def harvest(reduced: LatticeBasis) -> list[CompressionWitness]:
     same holds at b's.  A sign whose two readings do not both fit costs O(1),
     and since |b[s] - b[t]| <= spread(b), this also skips every pair whose
     spreads differ by more than d+k-1.  Any other a + b or a - b is built,
-    O(d + k) additions, and a negation is formed only for a combination
-    whose spread passes.
+    O(d + k) additions, and its min and max give its spread.
 
-    Survivors are deduplicated on the shifted value vector, and only then is
-    a polynomial built.  Interpolation is linear, so a survivor +-(a +- b)
-    shifted by a constant has the binomial coefficients +-(c_a +- c_b) of
-    its basis vectors with the shift added to the C(x, 0) coefficient.  Each
-    basis vector is interpolated once, when it first joins a survivor that
-    passes the dedup, from its first d+1 values; one walk of the difference
-    table must give back all d+k of them.  After that a survivor costs O(d)
-    big-integer additions for its coefficients, and its witness of
-    [d+k] -> [n] is built from them and its shifted values, whose minimum
-    is 1 and maximum n <= d+k.
+    Harvest is one pass: each combination whose spread passes, single
+    vectors first and then pairs in (a, b, sign) order, goes straight to its
+    two witnesses with the min and max the screen computed.  Its shifted
+    value vector (minimum 1, maximum n) and that of its negation, which is
+    n + 1 minus it, are the dedup keys, and a key fixes its witness.  Every
+    key enters the dedup set together with its reflection, so a survivor's
+    two keys are both new or both seen, and only then is a polynomial built.
+    Interpolation is linear, so a survivor +-(a +- b) shifted by a constant
+    has the binomial coefficients +-(c_a +- c_b) of its basis vectors with
+    the shift added to the C(x, 0) coefficient.  Each basis vector is
+    interpolated once, when it first joins a survivor that passes the dedup,
+    from its first d+1 values; one walk of the difference table must give
+    back all d+k of them.  After that a survivor costs O(d) big-integer
+    additions for its coefficients, and its witnesses of [d+k] -> [n] are
+    built from them and its keys.
 
     Raises LatticeInvariantError when a contributing basis vector's tail
     disagrees with its first d+1 values, which happens only when the basis
@@ -341,24 +347,6 @@ def harvest(reduced: LatticeBasis) -> list[CompressionWitness]:
     k = width - d
     if k < 1:
         raise ValueError("reduced basis is not a binomial value lattice")
-
-    limit = width - 1
-    # each vector's argmax and argmin, and its spread
-    ends = [(v.index(max(v)), v.index(min(v))) for v in vecs]
-    spreads = [v[s] - v[t] for v, (s, t) in zip(vecs, ends)]
-    # a survivor w = a + sign * b, or w = a when b is None
-    short = [(v, a, None, 1) for a, (v, s) in enumerate(zip(vecs, spreads)) if s <= limit]
-    for a, (va, sa, (ha, la)) in enumerate(zip(vecs, spreads, ends)):
-        for b in range(a + 1, d + 1):
-            vb, sb, (hb, lb) = vecs[b], spreads[b], ends[b]
-            # spread(a +- b) >= |(a +- b)[s] - (a +- b)[t]| at the argmax and
-            # argmin s, t of a, and at those of b
-            gb, ga = vb[ha] - vb[la], va[hb] - va[lb]
-            for sign, op in ((1, add), (-1, sub)):
-                if abs(sa + sign * gb) <= limit >= abs(ga + sign * sb):
-                    w = list(map(op, va, vb))
-                    if max(w) - min(w) <= limit:
-                        short.append((w, a, b, sign))
 
     basis_coeffs = [None] * (d + 1)
 
@@ -376,27 +364,46 @@ def harvest(reduced: LatticeBasis) -> list[CompressionWitness]:
 
     seen = set()
     out = []
-    for w, a, b, sign in short:
-        lo, hi = min(w), max(w)
+
+    def keep(w, lo: int, hi: int, a: int, b, op) -> None:
+        # the survivor w = a, or w = op(a, b), with min lo and max hi gives
+        # the witnesses w and -w, each shifted so that its minimum is 1:
+        # keys up and down = n + 1 - up.  seen holds every key with its
+        # reflection, so up and down are both new or both seen.
+        up = tuple(map(add, w, repeat(1 - lo)))
+        if up in seen:
+            return
+        down = tuple(map(sub, repeat(hi + 1), w))
+        seen.add(up)
+        seen.add(down)
+        c = coeffs_of(a) if b is None else list(map(op, coeffs_of(a), coeffs_of(b)))
+        f = BinomialPoly((c[0] + 1 - lo, *c[1:]))
+        if f.degree < 2:
+            return
         n = hi - lo + 1
-        c = None
-        # w and -w, each shifted so that its minimum is 1
-        for negate, key in ((False, tuple(x + 1 - lo for x in w)),
-                            (True, tuple(hi + 1 - x for x in w))):
-            if key in seen:
-                continue
-            seen.add(key)
-            if c is None:
-                c = coeffs_of(a)
-                if b is not None:
-                    c = [x + sign * y for x, y in zip(c, coeffs_of(b))]
-            if negate:
-                coeffs = [hi + 1 - c[0]] + [-x for x in c[1:]]
-            else:
-                coeffs = [c[0] + 1 - lo] + c[1:]
-            f = BinomialPoly(tuple(coeffs))
-            if f.degree < 2:
-                continue
-            out.append(CompressionWitness(f, width, n, key))
+        out.append(CompressionWitness(f, width, n, up))
+        if down != up:
+            f = BinomialPoly((hi + 1 - c[0], *map(neg, c[1:])))
+            out.append(CompressionWitness(f, width, n, down))
+
+    limit = width - 1
+    # each vector's argmax and argmin, and its spread
+    ends = [(v.index(max(v)), v.index(min(v))) for v in vecs]
+    spreads = [v[s] - v[t] for v, (s, t) in zip(vecs, ends)]
+    for a, (v, s, (h, l)) in enumerate(zip(vecs, spreads, ends)):
+        if s <= limit:
+            keep(v, v[l], v[h], a, None, None)
+    for a, (va, sa, (ha, la)) in enumerate(zip(vecs, spreads, ends)):
+        for b in range(a + 1, d + 1):
+            vb, sb, (hb, lb) = vecs[b], spreads[b], ends[b]
+            # spread(a +- b) >= |(a +- b)[s] - (a +- b)[t]| at the argmax and
+            # argmin s, t of a, and at those of b
+            gb, ga = vb[ha] - vb[la], va[hb] - va[lb]
+            for sign, op in ((1, add), (-1, sub)):
+                if abs(sa + sign * gb) <= limit >= abs(ga + sign * sb):
+                    w = list(map(op, va, vb))
+                    lo, hi = min(w), max(w)
+                    if hi - lo <= limit:
+                        keep(w, lo, hi, a, b, op)
     out.sort(key=lambda w: (w.n, w.poly.coeffs))
     return out

@@ -13,6 +13,7 @@ written; every later exception propagates, so a record is a search outcome.
 from __future__ import annotations
 
 import json
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -50,16 +51,44 @@ class SweepRecord:
 
     @staticmethod
     def from_json(rec: dict) -> "SweepRecord":
+        """The record of one parsed JSONL line; ValueError on a mistyped field.
+
+        found must be a JSON boolean; d, k and elapsed_ms (0 when absent)
+        JSON integers, not booleans; m and n null or such an integer; coeffs
+        null or a list of strings matching -?[0-9]+.  Other keys, such as
+        the "error" of earlier versions, are ignored.
+        """
+        found = rec["found"]
+        if type(found) is not bool:
+            raise ValueError(f"sweep record field 'found' is not a JSON boolean: {found!r}")
         coeffs = rec.get("coeffs")
+        if coeffs is not None:
+            if type(coeffs) is not list or not all(
+                type(c) is str and _DECIMAL.fullmatch(c) for c in coeffs
+            ):
+                raise ValueError(f"sweep record field 'coeffs' is not a list of decimal strings: "
+                                 f"{coeffs!r}")
+            coeffs = tuple(map(int, coeffs))
+        m, n = rec.get("m"), rec.get("n")
         return SweepRecord(
-            d=int(rec["d"]),
-            k=int(rec["k"]),
-            found=bool(rec["found"]),
-            m=None if rec.get("m") is None else int(rec["m"]),
-            n=None if rec.get("n") is None else int(rec["n"]),
-            coeffs=None if coeffs is None else tuple(int(c) for c in coeffs),
-            elapsed_ms=int(rec.get("elapsed_ms", 0)),
+            d=_int_field(rec["d"], "d"),
+            k=_int_field(rec["k"], "k"),
+            found=found,
+            m=None if m is None else _int_field(m, "m"),
+            n=None if n is None else _int_field(n, "n"),
+            coeffs=coeffs,
+            elapsed_ms=_int_field(rec.get("elapsed_ms", 0), "elapsed_ms"),
         )
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _int_field(value, key: str) -> int:
+    """value when it is a JSON integer, not a boolean; ValueError naming key otherwise."""
+    if type(value) is not int:
+        raise ValueError(f"sweep record field {key!r} is not a JSON integer: {value!r}")
+    return value
 
 
 # The least count E = ratio^d of lattice vectors that the Gaussian heuristic

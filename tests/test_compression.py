@@ -1,4 +1,6 @@
 """Window verification and discovery."""
+import json
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -8,7 +10,7 @@ from dyncompress.compression import (
     best_window,
     check_window,
 )
-from dyncompress.polynomials import BinomialPoly, interpolate
+from dyncompress.polynomials import BinomialPoly, interpolate, poly_from_json
 from dyncompress.tables import table1_poly
 
 QUAD = BinomialPoly((11, -4, 1))  # (x^2 - 9x + 22) / 2
@@ -23,6 +25,17 @@ def test_check_window_witness():
     assert j["m"] == 8 and j["n"] == 7 and j["strict"] is True
     assert j["values"] == ["7", "4", "2", "1", "1", "2", "4", "7"]
 
+
+def test_witness_json_writes_bool_values_as_digits():
+    # a witness built directly keeps the values it was given; str(True) is
+    # "True", so to_json converts through operator.index
+    direct = CompressionWitness(BinomialPoly((3, -2, 2)), 2, 1, (True, True))
+    obj = json.loads(json.dumps(direct.to_json()))
+    assert obj["values"] == ["1", "1"]
+    back = poly_from_json(obj["poly"])
+    again = check_window(back, obj["m"], obj["n"])
+    assert again == CompressionWitness(back, 2, 1, (1, 1))
+    assert again.to_json() == obj
 
 def test_check_window_range_refutation():
     r = check_window(QUAD, 9, 7)

@@ -519,6 +519,15 @@ def test_harvest_golden_digest(d, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_harvest_warm_golden_digest():
+    # sha256 of the sorted witness JSON of the warm harvest that a sweep of
+    # d = 32 makes at k = 8: every witness, not only the best one
+    ws = harvest(lll_chain(32, 8)[7])
+    assert len(ws) == 56
+    text = json.dumps([w.to_json() for w in ws], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "232e2cb14209535914ba6012d68c5265e062ad00ff39aa787636fc72ec6ff238")
+
 @pytest.mark.parametrize("d,k", [(2, 6), (4, 6), (9, 10), (12, 8)])
 def test_harvest_witnesses_pass_check_window(d, k):
     # harvest builds each witness from its own value walk, not by check_window

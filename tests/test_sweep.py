@@ -182,6 +182,29 @@ def test_record_json_round_trip():
     assert SweepRecord.from_json(old) == SweepRecord(4, 2, False, None, None, None, 5)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("found", "false"),
+    ("found", 0),
+    ("d", 11.9),
+    ("d", "11"),
+    ("k", True),
+    ("k", None),
+    ("m", 19.0),
+    ("n", False),
+    ("elapsed_ms", True),
+    ("elapsed_ms", None),
+    ("coeffs", [1, 2, 3]),
+    ("coeffs", ["1_0", "2", "3"]),
+    ("coeffs", [" 12", "2", "3"]),
+    ("coeffs", "123"),
+])
+def test_record_from_json_rejects_mistyped_fields(field, value):
+    good = {"d": 11, "k": 9, "found": True, "m": 19, "n": 17,
+            "coeffs": ["10", "-3", "7"], "elapsed_ms": 5}
+    assert SweepRecord.from_json(good) == SweepRecord(11, 9, True, 19, 17, (10, -3, 7), 5)
+    with pytest.raises(ValueError, match=field):
+        SweepRecord.from_json({**good, field: value})
+
 def test_run_sweep_deterministic_and_parallel():
     seq = [r for r in run_sweep(2, 5)]
     par = [r for r in run_sweep(2, 5, jobs=2)]
@@ -276,6 +299,21 @@ def test_sweep_to_file_searches_degree_with_old_error_line(tmp_path):
     assert [r.d for r in written if r.found] == [11]
     assert read_sweep_file(out) == written
 
+
+def test_sweep_file_with_string_found_is_refused(tmp_path):
+    # bool("false") is True: such a line once counted as a find at k = 9, so
+    # sweep_to_file wrote nothing for the degree and read_sweep_file returned
+    # found=True with no window
+    out = tmp_path / "sweep.jsonl"
+    line = {"d": 11, "k": 9, "found": "false", "m": None, "n": None, "coeffs": None,
+            "elapsed_ms": 0}
+    content = (json.dumps(line) + "\n").encode()
+    out.write_bytes(content)
+    with pytest.raises(ValueError, match="found"):
+        read_sweep_file(out)
+    with pytest.raises(ValueError, match="found"):
+        sweep_to_file(out, 11, 11)
+    assert out.read_bytes() == content
 
 @pytest.mark.parametrize("kwargs", [{"k_max": 1}, {"jobs": 0}])
 def test_sweep_to_file_rejects_bad_arguments_when_all_finished(tmp_path, kwargs):
