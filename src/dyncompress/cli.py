@@ -22,7 +22,7 @@ from .dynamics import (
 from .families import compressing_poly_binomial
 from .geometry import minkowski_check
 from .polynomials import BinomialPoly, RationalPoly, poly_from_json, poly_to_json, to_binomial
-from .sweep import default_k_schedule, search_widths, sweep_to_file
+from .sweep import SweepFileError, default_k_schedule, search_widths, sweep_to_file
 from .tables import verify_tables
 
 
@@ -122,7 +122,10 @@ def sweep(d_from: int, d_to: int, k_max: int | None, jobs: int, out_path: str):
         raise click.UsageError(f"--k-max must be at least 2, got {k_max}")
     if jobs < 1:
         raise click.UsageError(f"--jobs must be at least 1, got {jobs}")
-    written = sweep_to_file(out_path, d_from, d_to, k_max, jobs)
+    try:
+        written = sweep_to_file(out_path, d_from, d_to, k_max, jobs)
+    except SweepFileError as exc:
+        raise click.UsageError(str(exc))
     found = sum(1 for r in written if r.found)
     _echo_json({"out": str(Path(out_path)), "records": len(written), "found": found})
 

@@ -589,19 +589,11 @@ class _Retention:
 
     Orbits share their tails: sibling preimages z, z' with f(z) = f(z')
     have one g-image when g = f + c.  So the test keeps one memo for the
-    census it serves, mapping each orbit point that passed both tests to
-    (its orbit's point list, index).  Every point of such a list after its
-    start lies inside R and farther than the floor from every earlier point
-    of the list.  A candidate computes and tests each point itself, then
-    looks it up; on a hit, the points after it in the stored list are g's
-    next iterates bit for bit, so they are copied without _horner.  A copied
-    point is tested only against the candidate's own pool, the points it
-    computed and its earlier copy runs: its stored list already found it
-    inside R and far from every earlier point of that list, which holds the
-    hit and the whole copy run before it.  A copy run that reaches the step
-    budget is a drop; one that reaches the end of the stored list joins the
-    pool, and _horner and both tests resume.  So every keep and drop is the
-    one the plain loop makes.
+    census it serves, a cache of g mapping each orbit point z whose image
+    passed the escape test to (g(z), complex(g(z))).  _horner and
+    mpc_to_complex are deterministic at the test's (prec, rnd), and outside
+    is a function of the point alone, so a cached image is the one the
+    plain loop computes and every keep and drop is the plain loop's.
     """
 
     def __init__(self, gm: RationalPoly, precision_bits: int, steps: int, widen: float):
@@ -623,7 +615,8 @@ class _Retention:
         self.g_raw = [(mp.mpf(c.numerator) / c.denominator)._mpf_ for c in reversed(gm.coeffs)]
         self.prec, self.rnd = mp.mp._prec_rounding
         self.steps = steps
-        # orbit point (an mpc tuple) -> (its orbit's list of (z, zc), index)
+        # orbit point (an mpc tuple) -> (g of it, its complex copy), for
+        # images inside R only
         self.memo: dict = {}
 
     def outside(self, z, zc: complex) -> bool:
@@ -642,34 +635,21 @@ class _Retention:
 
     def keeps(self, z, zc: complex) -> bool:
         """Whether the census keeps candidate z (an mpc tuple, zc = complex(z))."""
-        g_raw, prec, rnd, memo, steps = self.g_raw, self.prec, self.rnd, self.memo, self.steps
+        g_raw, prec, rnd, memo = self.g_raw, self.prec, self.rnd, self.memo
         trail = _Pool(self.floor, self.floor_c, prec, rnd)
         trail.add(z, zc)
-        orbit = [(z, zc)]  # orbit[t] is the t-th iterate
-        while len(orbit) <= steps:
-            z = _horner(g_raw, z, prec, rnd)
-            zc = mpc_to_complex(z, False, rnd)
-            if self.outside(z, zc):
-                return False
+        for _ in range(self.steps):
+            image = memo.get(z)
+            if image is None:
+                w = _horner(g_raw, z, prec, rnd)
+                wc = mpc_to_complex(w, False, rnd)
+                if self.outside(w, wc):
+                    return False
+                image = memo[z] = w, wc
+            z, zc = image
             if trail.near(z, zc):
                 return True
             trail.add(z, zc)
-            stored = memo.get(z)
-            memo[z] = orbit, len(orbit)
-            orbit.append((z, zc))
-            if stored is None:
-                continue
-            source, i = stored
-            run = len(orbit)
-            for z, zc in source[i + 1:i + 2 + steps - run]:
-                if trail.near(z, zc):
-                    return True
-                memo[z] = orbit, len(orbit)
-                orbit.append((z, zc))
-            if len(orbit) > steps:
-                return False
-            for w, wc in orbit[run:]:
-                trail.add(w, wc)
         return False
 
 
@@ -722,14 +702,10 @@ def common_preper_depth_search(
     which _horner runs instead.
 
     Orbits share their tails (sibling preimages z, z' with f(z) = f(z') have
-    one image under g = f + c), so the census's _Retention keeps a memo, for
-    this census only, of every orbit point that passed both tests.  A
-    candidate whose own point is in the memo copies the stored orbit's later
-    points instead of iterating g, and tests each only against its own pool:
-    the stored orbit already found it inside R and far from the hit and the
-    rest of the copy run.  Every keep and drop is the plain loop's; at depth
-    (4, 3) for the record quadratic and g = f + 1, _horner steps fall from
-    3,814 to 1,956.
+    one image under g = f + c), so the census's _Retention caches g's value
+    at every orbit point whose image stays inside R, for this census only;
+    at depth (4, 3) for the record quadratic and g = f + 1, _horner steps
+    fall from 3,814 without the cache to 1,924.
 
     precision_bits must be at least DEPTH_MIN_BITS = 96.  Below that the
     merge distance sits under the root-finding noise and attracting orbits

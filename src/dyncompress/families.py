@@ -98,6 +98,8 @@ def compressing_values(d: int) -> list[int]:
     O(1) per value via the sign pattern, instead of evaluating the degree-d
     polynomial.
     """
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
     if d % 2 == 0:
         return [_sign_window_value(d, x - 3) + 2 for x in range(1, d + 7)]
     return [_sign_window_value(d, x - 3) - x + d + 6 for x in range(1, d + 7)]

@@ -51,13 +51,19 @@ class SweepRecord:
 
     @staticmethod
     def from_json(rec: dict) -> "SweepRecord":
-        """The record of one parsed JSONL line; ValueError on a mistyped field.
+        """The record of one parsed JSONL line; ValueError on a malformed one.
 
-        found must be a JSON boolean; d, k and elapsed_ms (0 when absent)
-        JSON integers, not booleans; m and n null or such an integer; coeffs
-        null or a list of strings matching -?[0-9]+.  Other keys, such as
-        the "error" of earlier versions, are ignored.
+        rec must be a JSON object.  found must be a JSON boolean; d, k and
+        elapsed_ms (0 when absent) JSON integers, not booleans; m and n null
+        or such an integer; coeffs null or a list of strings matching
+        -?[0-9]+, and none of m, n and coeffs null in a find.  Other keys,
+        such as the "error" of earlier versions, are ignored.
         """
+        if type(rec) is not dict:
+            raise ValueError(f"sweep record is not a JSON object: {rec!r}")
+        for key in ("d", "k", "found"):
+            if key not in rec:
+                raise ValueError(f"sweep record has no field {key!r}")
         found = rec["found"]
         if type(found) is not bool:
             raise ValueError(f"sweep record field 'found' is not a JSON boolean: {found!r}")
@@ -70,6 +76,8 @@ class SweepRecord:
                                  f"{coeffs!r}")
             coeffs = tuple(map(int, coeffs))
         m, n = rec.get("m"), rec.get("n")
+        if found and None in (m, n, coeffs):
+            raise ValueError(f"sweep record is a find without m, n and coeffs: {rec!r}")
         return SweepRecord(
             d=_int_field(rec["d"], "d"),
             k=_int_field(rec["k"], "k"),
@@ -82,6 +90,10 @@ class SweepRecord:
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")
+
+
+class SweepFileError(ValueError):
+    """A complete line of a sweep file that holds no sweep record."""
 
 
 def _int_field(value, key: str) -> int:
@@ -218,7 +230,7 @@ def sweep_to_file(
     any line the crash tore.  Each degree's records are appended as one
     batch, and the file is opened only to append a finished batch, so an
     argument error (degree range, k_max, jobs) raises before the file is
-    created or changed.
+    created or changed, and so does the SweepFileError of a malformed line.
     """
     path = Path(path)
     data = path.read_bytes() if path.exists() else b""
@@ -244,16 +256,23 @@ def _records(data: bytes) -> Iterator[tuple[SweepRecord, int]]:
     So is a line with an "error" key, which earlier versions wrote for an
     attempt that raised: it records no search outcome, and counting its
     k = 2 line as terminal would keep sweep_to_file from searching that
-    degree again.
+    degree again.  Any other complete line that SweepRecord.from_json
+    refuses, or that is not JSON, raises SweepFileError naming its 1-based
+    line number.
     """
     end = 0
-    for line in data[: data.rfind(b"\n") + 1].splitlines(keepends=True):
+    for number, line in enumerate(data[: data.rfind(b"\n") + 1].splitlines(keepends=True), 1):
         end += len(line)
         if not line.strip():
             continue
-        obj = json.loads(line)
-        if "error" not in obj:
-            yield SweepRecord.from_json(obj), end
+        try:
+            obj = json.loads(line)
+            if type(obj) is dict and "error" in obj:
+                continue
+            rec = SweepRecord.from_json(obj)
+        except ValueError as exc:
+            raise SweepFileError(f"sweep file line {number}: {exc}") from exc
+        yield rec, end
 
 
 def read_sweep_file(path: str | Path) -> list[SweepRecord]:

@@ -197,6 +197,28 @@ def test_sweep_rejects_bad_arguments_before_writing(runner, tmp_path, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", [
+    b'{"d": 3, "k": 2, "found": "false", "m": null, "n": null, "coeffs": null}',
+    b'{"d": 3, "k": 2, "m": null, "n": null, "coeffs": null}',
+    b"[1, 2]",
+    b'{"d": 3, "k": 2, "found": fals',
+    b'{"d": 3, "k": 9, "found": true, "m": 11, "n": null, "coeffs": ["2", "3", "-3", "1"]}',
+])
+def test_sweep_refuses_malformed_file_line(runner, tmp_path, bad):
+    # a mistyped field, no "found", no JSON object, no JSON, and a find
+    # without its window: exit 2 naming the line, the file left as it was
+    out = tmp_path / "sweep.jsonl"
+    good = {"d": 2, "k": 6, "found": True, "m": 8, "n": 7, "coeffs": ["11", "-4", "1"],
+            "elapsed_ms": 3}
+    content = json.dumps(good).encode() + b"\n" + bad + b"\n"
+    out.write_bytes(content)
+    res = runner.invoke(main, ["sweep", "--from", "3", "--to", "3", "--out", str(out)])
+    assert res.exit_code == 2
+    assert "sweep file line 2:" in res.output
+    assert "Traceback" not in res.output
+    assert out.read_bytes() == content
+
+
 def test_volume_command(runner):
     res = runner.invoke(main, ["volume", "-d", "2", "--ell", "2", "--k", "2"])
     assert res.exit_code == 0

@@ -170,7 +170,9 @@ def test_compressing_poly_binomial_rejects_negative_degree():
             compressing_poly_binomial(d)
 
 
-@pytest.mark.parametrize("build", [central_factorial_poly, sign_poly, compressing_poly])
+@pytest.mark.parametrize(
+    "build", [central_factorial_poly, sign_poly, compressing_poly, compressing_values]
+)
 def test_rational_families_reject_negative_degree(build):
     for d in (-1, -2, -7):
         with pytest.raises(ValueError):

@@ -96,8 +96,8 @@ def test_environment_scan_sees_reads(tmp_path):
     ]
 
 
-def polyroots_call_sites(path: Path) -> list[str]:
-    """file:function for every call of polyroots (by attribute or bare name) in a file.
+def call_sites(path: Path, name: str) -> list[str]:
+    """file:function for every call of name (by attribute or bare name) in a file.
 
     The function is the innermost one around the call; <module> outside any.
     """
@@ -108,8 +108,8 @@ def polyroots_call_sites(path: Path) -> list[str]:
             scope = node.name
         if isinstance(node, ast.Call):
             callee = node.func
-            name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
-            if name == "polyroots":
+            called = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
+            if called == name:
                 found.append(f"{path.name}:{scope}")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -121,9 +121,14 @@ def polyroots_call_sites(path: Path) -> list[str]:
 def test_polyroots_has_one_call_site():
     # every census root call goes through _poly_roots, so none skips its
     # double-precision seed pass or its guard-bit ladder
-    assert [s for path in SOURCES for s in polyroots_call_sites(path)] == [
+    assert [s for path in SOURCES for s in call_sites(path, "polyroots")] == [
         "dynamics.py:_poly_roots"
     ]
+
+
+def test_horner_has_one_call_site():
+    # g is evaluated only in _Retention.keeps, through its cache of g
+    assert [s for path in SOURCES for s in call_sites(path, "_horner")] == ["dynamics.py:keeps"]
 
 
 def test_polyroots_scan_sees_calls(tmp_path):
@@ -135,6 +140,6 @@ def test_polyroots_scan_sees_calls(tmp_path):
         "def c(c):\n    return polyroots(c)\n"
         "roots = polyroots([1, 0, -1])\n"
     )
-    assert polyroots_call_sites(sample) == [
+    assert call_sites(sample, "polyroots") == [
         "sample.py:a", "sample.py:inner", "sample.py:c", "sample.py:<module>",
     ]

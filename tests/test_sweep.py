@@ -197,6 +197,10 @@ def test_record_json_round_trip():
     ("coeffs", ["1_0", "2", "3"]),
     ("coeffs", [" 12", "2", "3"]),
     ("coeffs", "123"),
+    # a find carries its window
+    ("m", None),
+    ("n", None),
+    ("coeffs", None),
 ])
 def test_record_from_json_rejects_mistyped_fields(field, value):
     good = {"d": 11, "k": 9, "found": True, "m": 19, "n": 17,
