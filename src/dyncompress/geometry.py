@@ -7,6 +7,21 @@ vectors guaranteed (by a volume threshold, Minkowski style) to contain
 nonzero lattice points, which is the existence side of the compression
 search.  Volumes and singular values are computed in extended-precision
 floating point on top of exact integer matrices.
+
+The ellipsoid needs only the (k-1) x (k-1) Gram A A^T of that matrix A, and
+`interpolation_gram` gives it in closed form from three identities:
+
+- row r of A is (-1)^(d-j) a_r(j), a_r(j) = C(d+r, j) C(d+r-j-1, r-1); the
+  sign depends on j alone, so A A^T is the Gram of the unsigned rows;
+- for 0 <= j <= d, a_r(j) = sum_{t=1..r} (-1)^(t-1) C(d+r, r-t) C(d+t, j),
+  by trinomial revision and then the partial alternating sum of a binomial
+  row (Graham, Knuth and Patashnik, Concrete Mathematics, eqs. 5.21, 5.16);
+- V(t, u) = sum_{j=0..d} C(d+t, j) C(d+u, j)
+  = C(2d+t+u, d+t) - sum_{i=1..min(t,u)} C(d+t, t-i) C(d+u, u-i), which is
+  Vandermonde's convolution less its terms with j > d.
+
+So A A^T = C V C^T with C[r][t] = (-1)^(t-1) C(d+r, r-t) lower triangular:
+O(k^2) binomials and O(k^3) products instead of O(k^2 d) of them.
 """
 from __future__ import annotations
 
@@ -110,6 +125,27 @@ def build_interpolation_matrix(d: int, k: int) -> InterpolationMatrix:
     return InterpolationMatrix(d=d, k=k, entries=tuple(rows))
 
 
+def interpolation_gram(d: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """A A^T for A = build_interpolation_matrix(d, k), exactly, as C V C^T.
+
+    The identities are in the module docstring.  B[t][i] = C(d+t, t-i) for
+    1 <= i <= t holds |C[t][i]| and the terms of V beyond j = d, so
+    V = H - B B^T with H[t][u] = C(2d+t+u, d+t).  At k = 2 the one entry is
+    C(2d+2, d+1) - 1.
+    """
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    n = range(1, k)
+    b = [[math.comb(d + t, t - i) if i <= t else 0 for i in n] for t in n]
+    v = [[math.comb(2 * d + t + u, d + t) - sum(map(mul, bt, bu)) for u, bu in zip(n, b)]
+         for t, bt in zip(n, b)]
+    c = [[-x if i % 2 else x for i, x in enumerate(row)] for row in b]
+    cv = [[sum(map(mul, row, col)) for col in zip(*v)] for row in c]
+    return tuple(tuple(sum(map(mul, a, row)) for row in c) for a in cv)
+
+
 def gh_ratios(d: int, top: int) -> tuple[float, ...]:
     """Gaussian-heuristic ratio of the binomial value lattice at k = 1..top.
 
@@ -127,6 +163,8 @@ def gh_ratios(d: int, top: int) -> tuple[float, ...]:
     integers gives them all exactly; floats enter only in their logs.
     """
     rows = build_interpolation_matrix(d, top).entries
+    # summed, not interpolation_gram: at the sweep's sizes (d <= 40, top up to
+    # 13) its O(k^3) products cost as much as these sums of small integers, or more
     m = [[int(i == j) + sum(map(mul, a, b)) for j, b in enumerate(rows)]
          for i, a in enumerate(rows)]
     # dets[k - 1] = det L_k^2; after step i, m[i][i] is the (i+1)-th leading minor
@@ -168,12 +206,22 @@ def singular_values(rows: Sequence[Sequence[int]], prec_bits: int = 128) -> list
     if len(rows) > len(rows[0]):
         rows = list(zip(*rows))
     m = len(rows)
+    gram = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            gram[i][j] = gram[j][i] = sum(map(mul, rows[i], rows[j]))
+    return _gram_singular_values(gram, prec_bits)
+
+
+def _gram_singular_values(gram: Sequence[Sequence[int]], prec_bits: int) -> list:
+    """Square roots of the eigenvalues of an exact integer Gram, descending, as mpf."""
+    m = len(gram)
     with mp.workprec(prec_bits):
-        gram = mp.matrix(m, m)
+        g = mp.matrix(m, m)
         for i in range(m):
             for j in range(i, m):
-                gram[i, j] = gram[j, i] = mp.mpf(sum(map(mul, rows[i], rows[j])))
-        evals, _ = mp.eigsy(gram)
+                g[i, j] = g[j, i] = mp.mpf(gram[i][j])
+        evals, _ = mp.eigsy(g)
         sigmas = [mp.sqrt(e) if e > 0 else mp.mpf(0) for e in evals]
     return sorted(sigmas, reverse=True)
 
@@ -203,16 +251,26 @@ def matrix_norms(rows: Sequence[Sequence[int]]) -> MatrixNorms:
 def build_ellipsoid(
     d: int, k: int, ell: int, precision_bits: Optional[int] = None
 ) -> Ellipsoid:
-    """Ellipsoid radii and exact-formula log-volume at working precision."""
+    """Ellipsoid radii and exact-formula log-volume at working precision.
+
+    The singular values come from the closed-form Gram `interpolation_gram`
+    (module docstring: sign cancellation, trinomial revision with the partial
+    alternating sum, Vandermonde's convolution), the same integers that
+    `singular_values` sums on the A A^T side, so every field is as the rows
+    give it.  Only k - 1 > d + 1, where `singular_values` takes the A^T A
+    side, builds the rows.
+    """
     if ell < 2:
         raise ValueError("ell must be at least 2")
     if ell > k:
         raise ValueError("ell must not exceed k")
     prec = resolve_precision(precision_bits, d, k)
-    matrix = build_interpolation_matrix(d, k)
-    sig = singular_values(matrix.entries, prec)
-    # the matrix has k-1 rows; rank caps the computed values at d+1
-    sig = sig + [mp.mpf(0)] * (k - 1 - len(sig))
+    if k - 1 <= d + 1:
+        sig = _gram_singular_values(interpolation_gram(d, k), prec)
+    else:
+        sig = singular_values(build_interpolation_matrix(d, k).entries, prec)
+        # the matrix has k-1 rows; rank caps the computed values at d+1
+        sig = sig + [mp.mpf(0)] * (k - 1 - len(sig))
     with mp.workprec(prec):
         # radius i is half_span / max(sigma_i, 1); sig descends, so the radii
         # with sigma_i > 1 come first and the other `plain` all equal half_span

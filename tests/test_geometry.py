@@ -18,6 +18,7 @@ from dyncompress.geometry import (
     ellipsoid_log_volume,
     find_holding_threshold,
     gh_ratios,
+    interpolation_gram,
     matrix_norms,
     minkowski_check,
     resolve_precision,
@@ -46,6 +47,10 @@ def test_matrix_rejects():
         build_interpolation_matrix(4, 1)
     with pytest.raises(ValueError):
         build_interpolation_matrix(2, 2).apply([1, 2])
+    with pytest.raises(ValueError, match="d must be at least 2"):
+        interpolation_gram(1, 3)
+    with pytest.raises(ValueError, match="k must be at least 2"):
+        interpolation_gram(4, 1)
 
 
 def test_matrix_extrapolates_exactly():
@@ -87,6 +92,38 @@ def test_matrix_matches_closed_form(d):
             )
             for r in range(1, k)
         )
+
+
+def _summed_gram(d, k):
+    rows = build_interpolation_matrix(d, k).entries
+    return tuple(tuple(sum(a * b for a, b in zip(x, y)) for y in rows) for x in rows)
+
+
+def test_interpolation_gram_matches_summed_rows():
+    for d in range(2, 41):
+        for k in range(2, 13):
+            assert interpolation_gram(d, k) == _summed_gram(d, k), (d, k)
+
+
+@pytest.mark.parametrize("d", [256, 1024, 4096])
+def test_interpolation_gram_matches_summed_rows_large_d(d):
+    for k in (2, 3):
+        assert interpolation_gram(d, k) == _summed_gram(d, k)
+    # the k = 2 entry: Vandermonde's C(2d+2, d+1) less its one term with j = d+1
+    assert interpolation_gram(d, 2) == ((binomial(2 * d + 2, d + 1) - 1,),)
+
+
+def test_ellipsoid_takes_closed_form_gram(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("rows path taken")
+
+    monkeypatch.setattr(geometry, "build_interpolation_matrix", refuse)
+    monkeypatch.setattr(geometry, "singular_values", refuse)
+    assert len(build_ellipsoid(300, 3, 2).sigmas) == 2
+    assert minkowski_check(1024, 2).holds
+    # k - 1 > d + 1 keeps the rows, whose A^T A side gives the exact zeros
+    with pytest.raises(RuntimeError, match="rows path taken"):
+        build_ellipsoid(2, 6, 2)
 
 
 def test_matrix_norms_rank_one():
@@ -236,6 +273,13 @@ def test_minkowski_json_pinned(d, log_volume, sigma, digest):
     assert (j["log_volume"], j["sigmas"]) == (log_volume, [sigma])
     text = json.dumps(j, indent=2, allow_nan=False)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_minkowski_ell3_first_domain_degree_holds():
+    r = minkowski_check(4096, 3)
+    assert r.k == 3 and r.ell == 3
+    assert r.holds
+    assert r.log_pairs > 0
 
 
 def test_minkowski_json_huge_pairs_and_infinite_sigma():
