@@ -149,36 +149,38 @@ def interpolation_gram(d: int, k: int) -> tuple[tuple[int, ...], ...]:
 def gh_ratios(d: int, top: int) -> tuple[float, ...]:
     """Gaussian-heuristic ratio of the binomial value lattice at k = 1..top.
 
-    Entry k - 1 is target / GH at width k, as in lll_chain; top >= 2.  The
-    lattice L_k holds the all-ones vector, the free shift of harvest, and
-    projecting it out leaves rank d with volume det L_k / sqrt(d+k); its expected
-    shortest length is GH = sqrt(d / 2 pi e) (det L_k / sqrt(d+k))^(1/d)
-    (Gama and Nguyen, EUROCRYPT 2008).  The target is the norm of a
-    spread-(d+k-1) vector with uniform entries, (d+k-1)/(2 sqrt 3) sqrt(d+k).
+    Entry k - 1 is target / GH at width k, as in lll_chain; d >= 2 and
+    top >= 2.  The lattice L_k holds the all-ones vector, the free shift of
+    harvest, and projecting it out leaves rank d with volume
+    det L_k / sqrt(d+k); its expected shortest length is
+    GH = sqrt(d / 2 pi e) (det L_k / sqrt(d+k))^(1/d) (Gama and Nguyen,
+    EUROCRYPT 2008).  The target is the norm of a spread-(d+k-1) vector
+    with uniform entries, (d+k-1)/(2 sqrt 3) sqrt(d+k).
 
-    L_k has the basis [I_(d+1) | A^T], A = build_interpolation_matrix(d, k),
-    so det L_k^2 = det(I_(d+1) + A^T A) = det(I_(k-1) + A A^T) (Sylvester).
-    A's rows do not depend on k, so these are the leading principal minors
-    of one Gram matrix, and one fraction-free (Bareiss) elimination on
-    integers gives them all exactly; floats enter only in their logs.
+    det L_k is a product of binomials, with det L_1^2 = 1 and
+
+        det L_k^2 = prod_{j=2..k} C(2d+j, d+1) / C(d+j-1, d+1).
+
+    The value vectors of C(x-1, i), i <= d, on the N = d + k points
+    x = 1..N are a basis of L_k.  C(x-1, n) is p_n / n! plus terms of lower
+    degree, p_n the monic discrete Chebyshev polynomial on those points
+    (Hahn with alpha = beta = 0, DLMF 18.19), whose squared norm is
+    h_n = (n!)^4 (N+n)! / ((2n)! (2n+1)! (N-n-1)!).  So the basis has Gram
+    determinant prod_{n<=d} h_n / (n!)^2 =
+    prod_{n=0..d} C(N+n, 2n+1) / C(2n, n), and going from N to N + 1
+    multiplies it by C(N+d+1, d+1) / C(N, d+1), the step below.  Its floor
+    division is exact because every partial product is itself some
+    det L_j^2, an integer; floats enter only in the logs.
     """
-    rows = build_interpolation_matrix(d, top).entries
-    # summed, not interpolation_gram: at the sweep's sizes (d <= 40, top up to
-    # 13) its O(k^3) products cost as much as these sums of small integers, or more
-    m = [[int(i == j) + sum(map(mul, a, b)) for j, b in enumerate(rows)]
-         for i, a in enumerate(rows)]
-    # dets[k - 1] = det L_k^2; after step i, m[i][i] is the (i+1)-th leading minor
-    dets, prev = [1], 1
-    for i, pivot_row in enumerate(m):
-        pivot = pivot_row[i]
-        dets.append(pivot)
-        for row in m[i + 1:]:
-            for j in range(i + 1, len(m)):
-                row[j] = (row[j] * pivot - row[i] * pivot_row[j]) // prev
-        prev = pivot
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    if top < 2:
+        raise ValueError("top must be at least 2")
     log_scale = 0.5 * math.log(d / (2 * math.pi * math.e))
-    ratios = []
-    for k, det2 in enumerate(dets, start=1):
+    ratios, det2 = [], 1
+    for k in range(1, top + 1):
+        if k > 1:
+            det2 = det2 * math.comb(2 * d + k, d + 1) // math.comb(d + k - 1, d + 1)
         log_target = math.log((d + k - 1) / (2 * math.sqrt(3))) + 0.5 * math.log(d + k)
         log_gh = log_scale + 0.5 * (math.log(det2) - math.log(d + k)) / d
         ratios.append(math.exp(log_target - log_gh))

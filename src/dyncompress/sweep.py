@@ -56,8 +56,10 @@ class SweepRecord:
         rec must be a JSON object.  found must be a JSON boolean; d, k and
         elapsed_ms (0 when absent) JSON integers, not booleans; m and n null
         or such an integer; coeffs null or a list of strings matching
-        -?[0-9]+, and none of m, n and coeffs null in a find.  Other keys,
-        such as the "error" of earlier versions, are ignored.
+        -?[0-9]+.  A find has all of m, n and coeffs, with m >= n >= 1, so
+        that verify_record can judge it; a non-find has none of them, as
+        to_json writes it.  Other keys, such as the "error" of earlier
+        versions, are ignored.
         """
         if type(rec) is not dict:
             raise ValueError(f"sweep record is not a JSON object: {rec!r}")
@@ -76,14 +78,20 @@ class SweepRecord:
                                  f"{coeffs!r}")
             coeffs = tuple(map(int, coeffs))
         m, n = rec.get("m"), rec.get("n")
+        m = None if m is None else _int_field(m, "m")
+        n = None if n is None else _int_field(n, "n")
         if found and None in (m, n, coeffs):
             raise ValueError(f"sweep record is a find without m, n and coeffs: {rec!r}")
+        if found and not m >= n >= 1:
+            raise ValueError(f"sweep record is a find whose window is not m >= n >= 1: {rec!r}")
+        if not found and (m, n, coeffs) != (None, None, None):
+            raise ValueError(f"sweep record is a non-find with m, n or coeffs: {rec!r}")
         return SweepRecord(
             d=_int_field(rec["d"], "d"),
             k=_int_field(rec["k"], "k"),
             found=found,
-            m=None if m is None else _int_field(m, "m"),
-            n=None if n is None else _int_field(n, "n"),
+            m=m,
+            n=n,
             coeffs=coeffs,
             elapsed_ms=_int_field(rec.get("elapsed_ms", 0), "elapsed_ms"),
         )

@@ -203,10 +203,16 @@ def test_sweep_rejects_bad_arguments_before_writing(runner, tmp_path, bad):
     b"[1, 2]",
     b'{"d": 3, "k": 2, "found": fals',
     b'{"d": 3, "k": 9, "found": true, "m": 11, "n": null, "coeffs": ["2", "3", "-3", "1"]}',
+    b'{"d":3,"k":2,"found":true,"m":5,"n":9,"coeffs":["2","3","-3","1"]}',
+    b'{"d":3,"k":2,"found":true,"m":0,"n":0,"coeffs":["2","3","-3","1"]}',
+    b'{"d":3,"k":2,"found":true,"m":5,"n":-1,"coeffs":["2","3","-3","1"]}',
+    b'{"d":3,"k":2,"found":false,"m":5,"n":null,"coeffs":null}',
+    b'{"d":3,"k":2,"found":false,"m":null,"n":null,"coeffs":["2","3","-3","1"]}',
 ])
 def test_sweep_refuses_malformed_file_line(runner, tmp_path, bad):
-    # a mistyped field, no "found", no JSON object, no JSON, and a find
-    # without its window: exit 2 naming the line, the file left as it was
+    # a mistyped field, no "found", no JSON object, no JSON, a find without
+    # its window or with one that is not m >= n >= 1, and a non-find with
+    # one: exit 2 naming the line, the file left as it was
     out = tmp_path / "sweep.jsonl"
     good = {"d": 2, "k": 6, "found": True, "m": 8, "n": 7, "coeffs": ["11", "-4", "1"],
             "elapsed_ms": 3}

@@ -26,6 +26,7 @@ from dyncompress.geometry import (
 )
 from dyncompress.lattice import build_lattice
 from dyncompress.polynomials import BinomialPoly, binomial
+from dyncompress.sweep import default_k_schedule
 
 
 def test_matrix_smallest_case():
@@ -363,7 +364,7 @@ def _det(rows):
     return det
 
 
-@pytest.mark.parametrize("d", [2, 5, 9])
+@pytest.mark.parametrize("d", [2, 5, 9, 14, 20])
 def test_gh_ratios_match_generator_gram_determinant(d):
     # det L_k^2 from the Gram matrix of build_lattice's generators, the
     # (d+1) x (d+1) side of Sylvester's identity, at every width
@@ -373,6 +374,60 @@ def test_gh_ratios_match_generator_gram_determinant(d):
         gh = math.sqrt(d / (2 * math.pi * math.e)) * math.sqrt(det2 / (d + k)) ** (1 / d)
         target = (d + k - 1) / (2 * math.sqrt(3)) * math.sqrt(d + k)
         assert got == pytest.approx(target / gh, rel=1e-12)
+
+
+def _bareiss_gh_ratios(d, top):
+    """gh_ratios the long way: det L_k^2 = det(I_(k-1) + A A^T) (Sylvester).
+
+    A = build_interpolation_matrix(d, k) is the first k - 1 rows of the
+    matrix at width top, so the dets are the leading principal minors of one
+    summed Gram, all taken by one fraction-free (Bareiss) elimination.
+    """
+    rows = build_interpolation_matrix(d, top).entries
+    m = [[int(i == j) + sum(a * b for a, b in zip(x, y)) for j, y in enumerate(rows)]
+         for i, x in enumerate(rows)]
+    dets, prev = [1], 1
+    for i, pivot_row in enumerate(m):
+        pivot = pivot_row[i]
+        dets.append(pivot)
+        for row in m[i + 1:]:
+            for j in range(i + 1, len(m)):
+                row[j] = (row[j] * pivot - row[i] * pivot_row[j]) // prev
+        prev = pivot
+    log_scale = 0.5 * math.log(d / (2 * math.pi * math.e))
+    ratios = []
+    for k, det2 in enumerate(dets, start=1):
+        log_target = math.log((d + k - 1) / (2 * math.sqrt(3))) + 0.5 * math.log(d + k)
+        log_gh = log_scale + 0.5 * (math.log(det2) - math.log(d + k)) / d
+        ratios.append(math.exp(log_target - log_gh))
+    return tuple(ratios)
+
+
+@pytest.mark.parametrize("ds", [
+    range(2, 61), range(61, 121), [*range(121, 297, 7), 283, 300, 512],
+], ids=["2-60", "61-120", "121-512"])
+def test_gh_ratios_equal_bareiss_oracle(ds):
+    # the binomial product gives the elimination's integers, so every float
+    # is the same, not merely close; the leading minors do not depend on top,
+    # so one elimination per degree serves each top
+    for d in ds:
+        tops = (2, 3, (d.bit_length() - 1) + 8, 20)
+        want = _bareiss_gh_ratios(d, max(tops))
+        for top in tops:
+            assert gh_ratios(d, top) == want[:top], (d, top)
+
+
+def test_gh_ratios_and_schedule_pinned():
+    # sha256 of the ratios at the sweep's widest width and of the default
+    # schedule, for d = 2..300, recorded from the summed-Gram elimination
+    def digest(obj):
+        return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
+
+    ds = range(2, 301)
+    assert digest([[repr(r) for r in gh_ratios(d, (d.bit_length() - 1) + 8)] for d in ds]) == (
+        "967c153a7cb654e3386033099be12796d0154ed17dff64777f4d0efbf79b685d")
+    assert digest([list(default_k_schedule(d)) for d in ds]) == (
+        "cfe57b0d0f4e4fc7f2573409e0de684df08904bec03112d941da7da25cb0d506")
 
 
 def test_gh_ratios_rejects():

@@ -197,10 +197,13 @@ def test_record_json_round_trip():
     ("coeffs", ["1_0", "2", "3"]),
     ("coeffs", [" 12", "2", "3"]),
     ("coeffs", "123"),
-    # a find carries its window
+    # a find carries its window, one with m >= n >= 1, and a non-find none
     ("m", None),
     ("n", None),
     ("coeffs", None),
+    ("n", 20),
+    ("n", 0),
+    ("found", False),
 ])
 def test_record_from_json_rejects_mistyped_fields(field, value):
     good = {"d": 11, "k": 9, "found": True, "m": 19, "n": 17,
