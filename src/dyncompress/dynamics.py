@@ -62,7 +62,7 @@ class OrbitUndecided(Exception):
 
 
 class RootFindingError(Exception):
-    """Numerical root finding failed to converge; retry with more precision."""
+    """mp.polyroots failed to converge at every guard-bit rung of _poly_roots."""
 
 
 @dataclass(frozen=True)
@@ -423,6 +423,12 @@ def _poly_roots(coeffs_mpc, label: str):
     that one doomed call cost most of the T2 census.  60 bits converge on
     every call of the censuses of the degree 2 and 3 records the tests pin.
     Both rungs start from the same seeds.
+
+    When both rungs fail, RootFindingError names the working precision, the
+    rungs and the start.  It gives no advice, as more precision need not
+    help: for x^2 - 2^1100 the seed pass returns None (the monic coefficient
+    is not a finite double), and the cold start fails at 128, 1024 and 4096
+    bits but converges at 256.
     """
     seeds = _seed_roots(coeffs_mpc)
     roots_init = None if seeds is None else [mp.mpc(z) for z in seeds]
@@ -434,8 +440,13 @@ def _poly_roots(coeffs_mpc, label: str):
             )
         except NoConvergence as exc:
             last_exc = exc
+    if seeds is None:
+        start = "the cold start, as the double-precision seed pass returned None"
+    else:
+        start = "the double-precision seeds"
     raise RootFindingError(
-        f"root finding failed to converge for {label}; raise precision_bits"
+        f"root finding failed to converge for {label} at {mp.mp.prec} bits with "
+        f"{' and '.join(map(str, _GUARD_BITS))} guard bits, from {start}"
     ) from last_exc
 
 

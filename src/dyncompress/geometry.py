@@ -22,6 +22,18 @@ The ellipsoid needs only the (k-1) x (k-1) Gram A A^T of that matrix A, and
 
 So A A^T = C V C^T with C[r][t] = (-1)^(t-1) C(d+r, r-t) lower triangular:
 O(k^2) binomials and O(k^3) products instead of O(k^2 d) of them.
+
+The default working precision is GUARD_BITS = 128 bits over an exact bound
+on the condition number of that Gram (A^T A when k - 1 > d + 1), an m x m
+positive definite integer matrix: lambda_max <= trace and
+lambda_min >= det / trace^(m-1), so log2 of the condition number is below
+bits(trace^m) - bits(det) + 1, with det exact from Bareiss elimination.
+mp.eigsy is backward stable: its error in each eigenvalue is a few units
+of lambda_max at the working precision, so sigma_min keeps about
+GUARD_BITS bits, and the logs of the volume run at the same precision.  At
+k = 2 the Gram is 1 x 1 and the default is 128 bits.  A rule in d and k
+alone serves neither end: the condition number is 1 at k = 2 for any d,
+and about 2^81 at d = 20, k = 9 (the bound says 381 bits there).
 """
 from __future__ import annotations
 
@@ -31,6 +43,9 @@ from operator import mul
 from typing import Optional, Sequence
 
 import mpmath as mp
+
+# bits of relative accuracy the default precision leaves sigma_min
+GUARD_BITS = 128
 
 
 @dataclass(frozen=True)
@@ -69,6 +84,7 @@ class Ellipsoid:
     sigmas: tuple[float, ...]
     log_radii: tuple[float, ...]
     log_volume: float
+    prec_bits: int  # the working precision of the eigenvalues and logs
 
 
 @dataclass(frozen=True)
@@ -188,12 +204,56 @@ def gh_ratios(d: int, top: int) -> tuple[float, ...]:
 
 
 def resolve_precision(precision_bits: Optional[int], d: int, k: int) -> int:
-    """precision_bits if given, else max(64, 2*(d+k)); ValueError below 64."""
+    """precision_bits if given, else build_ellipsoid(d, k, ...)'s default; ValueError below 64."""
     if precision_bits is None:
-        return max(64, 2 * (d + k))
+        return _default_precision(_ellipsoid_gram(d, k))
     if precision_bits < 64:
         raise ValueError(f"precision must be at least 64 bits, got {precision_bits}")
     return precision_bits
+
+
+def _default_precision(gram: Sequence[Sequence[int]]) -> int:
+    """GUARD_BITS over bits(trace^m) - bits(det) for a positive definite m x m Gram.
+
+    lambda_max <= trace and lambda_min >= det / trace^(m-1), so log2 of the
+    condition number is below the difference plus one, and mp.eigsy, backward
+    stable, then returns the smallest eigenvalue to about GUARD_BITS bits.
+    det comes from fraction-free (Bareiss) elimination, exactly: its i-th
+    pivot is the i-th leading minor, and one that is not positive raises
+    RuntimeError.
+    """
+    m = len(gram)
+    rows = [list(row) for row in gram]
+    det = 1
+    for i, pivot_row in enumerate(rows):
+        pivot = pivot_row[i]
+        if pivot <= 0:
+            raise RuntimeError(f"Gram is not positive definite: leading minor {i + 1} is {pivot}")
+        for row in rows[i + 1:]:
+            for j in range(i + 1, m):
+                row[j] = (row[j] * pivot - row[i] * pivot_row[j]) // det
+        det = pivot
+    trace = sum(gram[i][i] for i in range(m))
+    return GUARD_BITS + (trace**m).bit_length() - det.bit_length()
+
+
+def _small_gram(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The exact integer Gram of a matrix on its smaller side."""
+    if len(rows) > len(rows[0]):
+        rows = list(zip(*rows))
+    m = len(rows)
+    gram = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            gram[i][j] = gram[j][i] = sum(map(mul, rows[i], rows[j]))
+    return gram
+
+
+def _ellipsoid_gram(d: int, k: int) -> Sequence[Sequence[int]]:
+    """A A^T in closed form when k - 1 <= d + 1, else A^T A from the rows."""
+    if k - 1 <= d + 1:
+        return interpolation_gram(d, k)
+    return _small_gram(build_interpolation_matrix(d, k).entries)
 
 
 def singular_values(rows: Sequence[Sequence[int]], prec_bits: int = 128) -> list:
@@ -205,14 +265,7 @@ def singular_values(rows: Sequence[Sequence[int]], prec_bits: int = 128) -> list
     """
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
-    if len(rows) > len(rows[0]):
-        rows = list(zip(*rows))
-    m = len(rows)
-    gram = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            gram[i][j] = gram[j][i] = sum(map(mul, rows[i], rows[j]))
-    return _gram_singular_values(gram, prec_bits)
+    return _gram_singular_values(_small_gram(rows), prec_bits)
 
 
 def _gram_singular_values(gram: Sequence[Sequence[int]], prec_bits: int) -> list:
@@ -259,20 +312,26 @@ def build_ellipsoid(
     (module docstring: sign cancellation, trinomial revision with the partial
     alternating sum, Vandermonde's convolution), the same integers that
     `singular_values` sums on the A A^T side, so every field is as the rows
-    give it.  Only k - 1 > d + 1, where `singular_values` takes the A^T A
-    side, builds the rows.
+    give it.  Only k - 1 > d + 1, where the smaller side of the Gram is
+    A^T A, builds the rows.
+
+    The working precision is precision_bits if given, else GUARD_BITS over
+    bits(trace^m) - bits(det) of that Gram, a bound on log2 of its condition
+    number (module docstring), so the smallest singular value keeps about
+    GUARD_BITS bits.  It is returned as prec_bits.
     """
     if ell < 2:
         raise ValueError("ell must be at least 2")
     if ell > k:
         raise ValueError("ell must not exceed k")
-    prec = resolve_precision(precision_bits, d, k)
-    if k - 1 <= d + 1:
-        sig = _gram_singular_values(interpolation_gram(d, k), prec)
+    gram = _ellipsoid_gram(d, k)
+    if precision_bits is None:  # resolve_precision would build the Gram again
+        prec = _default_precision(gram)
     else:
-        sig = singular_values(build_interpolation_matrix(d, k).entries, prec)
-        # the matrix has k-1 rows; rank caps the computed values at d+1
-        sig = sig + [mp.mpf(0)] * (k - 1 - len(sig))
+        prec = resolve_precision(precision_bits, d, k)
+    # A has k-1 rows; rank caps the singular values at d+1, the rest are zeros
+    sig = _gram_singular_values(gram, prec)
+    sig = sig + [mp.mpf(0)] * (k - 1 - len(sig))
     with mp.workprec(prec):
         # radius i is half_span / max(sigma_i, 1); sig descends, so the radii
         # with sigma_i > 1 come first and the other `plain` all equal half_span
@@ -290,6 +349,7 @@ def build_ellipsoid(
             sigmas=tuple(float(s) for s in sig),
             log_radii=tuple(float(x) for x in shaped) + (float(log_half_span),) * plain,
             log_volume=float(log_vol),
+            prec_bits=prec,
         )
 
 
@@ -329,9 +389,8 @@ def minkowski_check(
             )
     if k < 2:
         raise ValueError("k must be at least 2")
-    prec = resolve_precision(precision_bits, d, k)
-    spec = build_ellipsoid(d, k, ell, prec)
-    with mp.workprec(prec):
+    spec = build_ellipsoid(d, k, ell, precision_bits)
+    with mp.workprec(spec.prec_bits):
         log_vol = mp.mpf(spec.log_volume)
         log_thr = mp.log(d + ell + 4) + d * mp.log(2)
         holds = bool(log_vol >= log_thr)

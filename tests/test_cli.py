@@ -266,6 +266,14 @@ def test_volume_command_prints_standard_json(runner):
         _echo_json({"x": float("inf")})
 
 
+def test_volume_command_bytes_pinned(runner):
+    # recorded at 2(d+k) = 8198 bits; the condition-bound default is 187
+    res = runner.invoke(main, ["volume", "-d", "4096", "--ell", "3"])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.output.encode()).hexdigest() == (
+        "f412b7b12ec9d9be7650104a6a9d00ea21b214fe2031ee4e3f10e8159fc58627")
+
+
 def test_preimage_count_command(runner, quad_file):
     res = runner.invoke(main, ["preimage-count", "--poly", quad_file, "--n", "7"])
     assert res.exit_code == 0

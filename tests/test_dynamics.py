@@ -1147,6 +1147,25 @@ def test_depth_search_raises_when_root_finding_never_converges(monkeypatch):
         common_preper_depth_search(QUAD, QUAD + 1, 0, 1)
     assert tried == [60, 200]
     assert isinstance(info.value.__cause__, NoConvergence)
+    assert str(info.value) == (
+        "root finding failed to converge for cycle length 1 at 128 bits with "
+        "60 and 200 guard bits, from the double-precision seeds"
+    )
+
+
+def test_root_finding_error_names_the_cold_start():
+    # 2^1100 is no finite double, so the seed pass returns None, and the cold
+    # start fails at 128 bits but converges at 256: the error must not
+    # advise more precision
+    f = to_binomial(RationalPoly((-(2**1100), 0, 1)))
+    with pytest.raises(RootFindingError) as info:
+        common_preper_depth_search(f, f, 0, 1)
+    assert str(info.value) == (
+        "root finding failed to converge for cycle length 1 at 128 bits with "
+        "60 and 200 guard bits, from the cold start, as the double-precision "
+        "seed pass returned None"
+    )
+    assert common_preper_depth_search(f, f, 0, 1, precision_bits=256).count == 2
 
 
 def test_depth_search_validation():

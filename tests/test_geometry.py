@@ -276,6 +276,31 @@ def test_minkowski_json_pinned(d, log_volume, sigma, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "d, ell, digest",
+    [
+        (256, 2, "0d4d9116c38987b135836fbf27ce15b06b913a28394a8dad1b24787df9e87354"),
+        (1024, 2, "016f3a343041de4c19b6fab7c525740ad24547c671749f8c02f89c58f7fdf136"),
+        (3000, 2, "1954f9881a82d7e20da897d316c29e139f40c7b82509160f160ff4e7e7df93f9"),
+        (4096, 2, "b21c31185e904451eee14820e81a4d9709f3bf2794b0511f5b62c47a17fef958"),
+        (4096, 3, "902dcd95ba6e99f5600a87f9b18dbfae857fac039a6319527dd4b29bde5f5ac9"),
+    ],
+    ids=["d256", "d1024", "d3000", "d4096", "d4096-ell3"],
+)
+def test_minkowski_json_bytes_pinned_across_precisions(d, ell, digest):
+    # recorded at max(64, 2(d+k)) bits (516 to 8198); the condition-bound
+    # default (128 bits at k = 2, 187 at d = 4096, k = 3) gives the same bytes
+    text = json.dumps(minkowski_check(d, ell).to_json(), indent=2, allow_nan=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_volume_slopes_pinned():
+    # the 8d slopes, unchanged by the precision; 8d itself still fails
+    slopes = [ellipsoid_log_volume(d, default_extension(d), 2) / d
+              for d in (256, 512, 1024, 2048, 4096)]
+    assert [round(s, 4) for s in slopes] == [2.8116, 3.1553, 3.5003, 3.846, 3.5003]
+
+
 def test_minkowski_ell3_first_domain_degree_holds():
     r = minkowski_check(4096, 3)
     assert r.k == 3 and r.ell == 3
@@ -438,8 +463,8 @@ def test_gh_ratios_rejects():
 
 
 def test_resolve_precision(monkeypatch):
-    assert resolve_precision(None, 2, 2) == 64
-    assert resolve_precision(None, 100, 10) == 220
+    assert resolve_precision(None, 2, 2) == 128
+    assert resolve_precision(None, 100, 10) == 971
     assert resolve_precision(64, 100, 10) == 64
     assert resolve_precision(128, 2, 2) == 128
     assert resolve_precision(256, 2, 2) == 256
@@ -449,5 +474,62 @@ def test_resolve_precision(monkeypatch):
     # the environment sets no precision
     for env in ("96", "32", "many"):
         monkeypatch.setenv("DYNCOMPRESS_PRECISION_BITS", env)
-        assert resolve_precision(None, 2, 2) == 64
+        assert resolve_precision(None, 2, 2) == 128
         assert resolve_precision(128, 2, 2) == 128
+
+
+def test_default_precision_bounds_the_condition_number():
+    # bits(trace^m) - bits(det) >= log2(lambda_max / lambda_min) - 1, checked
+    # against eigenvalues at four times the precision, on both Gram sides
+    for d, k in [(2, 2), (5, 3), (20, 9), (11, 8), (70, 9), (300, 3), (2, 6), (3, 12)]:
+        gram = geometry._ellipsoid_gram(d, k)
+        bound = geometry._default_precision(gram) - geometry.GUARD_BITS
+        assert resolve_precision(None, d, k) == geometry.GUARD_BITS + bound
+        with mp.workprec(4 * geometry.GUARD_BITS + 4 * bound):
+            evals, _ = mp.eigsy(mp.matrix([[mp.mpf(x) for x in row] for row in gram]))
+            log2_cond = mp.log(max(evals) / min(evals), 2)
+        assert log2_cond <= bound + 1, (d, k)
+        assert bound >= 0
+    # a 1 x 1 Gram has condition 1: k = 2 runs at the guard bits alone
+    assert resolve_precision(None, 1024, 2) == geometry.GUARD_BITS == 128
+    assert resolve_precision(None, 4096, 3) == 187
+
+
+def test_default_precision_refuses_singular_gram():
+    for gram in (((0,),), ((1, 1), (1, 1)), ((0, 0), (0, 1)), ((1, 2), (2, 1))):
+        with pytest.raises(RuntimeError, match="not positive definite"):
+            geometry._default_precision(gram)
+
+
+def _assert_default_is_reference(d, k, ell):
+    e = build_ellipsoid(d, k, ell)
+    ref = build_ellipsoid(d, k, ell, 4 * e.prec_bits + 500)
+    assert (e.sigmas, e.log_radii, e.log_volume) == (ref.sigmas, ref.log_radii, ref.log_volume), (
+        d, k, ell)
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+def test_ellipsoid_default_equals_high_precision_reference(k):
+    # max(64, 2(d+k)) bits left these wrong up to d = 29 at k = 3 and d = 65
+    # at k = 9: the Gram's condition number outgrew the precision
+    for d in range(2, 71):
+        for ell in sorted({2, k}):
+            _assert_default_is_reference(d, k, ell)
+
+
+@pytest.mark.parametrize(
+    "d, k, ell, sigma_min, log_volume",
+    [
+        (2, 6, 2, 0.12848396900705647, -1.9855368415743728),
+        (20, 9, 2, 0.34749259849113073, -39.96345873623529),
+        (11, 8, 2, 0.017615975128670754, -16.589122173675406),
+        (59, 9, 2, 680732.2157817257, -122.6180006889074),
+    ],
+    ids=["rows-2-6", "20-9", "11-8", "59-9"],
+)
+def test_ellipsoid_wrong_at_2dk_bits_pinned(d, k, ell, sigma_min, log_volume):
+    # 2(d+k) bits gave sigma_min 0.1284839690070565, 0.38576063674682404,
+    # 0.017615590827719185 and 680732.2157817424 here
+    _assert_default_is_reference(d, k, ell)
+    e = build_ellipsoid(d, k, ell)
+    assert (min(s for s in e.sigmas if s), e.log_volume) == (sigma_min, log_volume)

@@ -133,10 +133,10 @@ def test_horner_has_one_call_site():
 
 def test_interpolation_matrix_built_only_for_wide_ellipsoids():
     # the schedule's det L_k is a product of binomials and the ellipsoid
-    # takes the closed-form Gram, so only build_ellipsoid's k - 1 > d + 1
-    # diagnostic builds the rows
+    # takes the closed-form Gram, so only the Gram of build_ellipsoid's
+    # k - 1 > d + 1 diagnostic builds the rows
     assert [s for path in SOURCES for s in call_sites(path, "build_interpolation_matrix")] == [
-        "geometry.py:build_ellipsoid"
+        "geometry.py:_ellipsoid_gram"
     ]
 
 
