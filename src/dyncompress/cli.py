@@ -126,6 +126,8 @@ def sweep(d_from: int, d_to: int, k_max: int | None, jobs: int, out_path: str):
         written = sweep_to_file(out_path, d_from, d_to, k_max, jobs)
     except SweepFileError as exc:
         raise click.UsageError(str(exc))
+    except OSError as exc:
+        raise click.UsageError(f"cannot write sweep file: {exc}")
     found = sum(1 for r in written if r.found)
     _echo_json({"out": str(Path(out_path)), "records": len(written), "found": found})
 

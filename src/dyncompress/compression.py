@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import index
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .polynomials import BinomialPoly, poly_to_json
 
@@ -53,8 +53,7 @@ class CompressionWitness:
         }
 
 
-@dataclass(frozen=True)
-class WindowRefutation:
+class WindowRefutation(NamedTuple):
     """Why a claimed window (m, n) fails: low degree or an out-of-range value."""
 
     poly: BinomialPoly

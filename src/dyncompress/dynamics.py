@@ -26,9 +26,8 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import mpmath as mp
 from mpmath.libmp import (
@@ -65,8 +64,7 @@ class RootFindingError(Exception):
     """mp.polyroots failed to converge at every guard-bit rung of _poly_roots."""
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(NamedTuple):
     """Outcome of iterating from one rational start point."""
 
     start: Fraction
@@ -77,8 +75,7 @@ class OrbitRecord:
     witness_value: Optional[Fraction] = None
 
 
-@dataclass(frozen=True)
-class PreimageCount:
+class PreimageCount(NamedTuple):
     """Distinct-root census of f^(-1)([n]).
 
     exact_fibers counts the fibers whose gcd(f - q, f') the exact rational
@@ -92,16 +89,14 @@ class PreimageCount:
     exact_fibers: int
 
 
-@dataclass(frozen=True)
-class CommonBound:
+class CommonBound(NamedTuple):
     """Certified lower bound for common preperiodic points of f, ..., f+(m-n)."""
 
     count: int
     floor: int
 
 
-@dataclass(frozen=True)
-class DepthSearchReport:
+class DepthSearchReport(NamedTuple):
     """Heuristic census of points with small forward orbit under two maps.
 
     Points are numerical approximations retained by a revisit test at the

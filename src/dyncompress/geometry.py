@@ -38,9 +38,8 @@ and about 2^81 at d = 20, k = 9 (the bound says 381 bits there).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import mpmath as mp
 
@@ -48,8 +47,7 @@ import mpmath as mp
 GUARD_BITS = 128
 
 
-@dataclass(frozen=True)
-class InterpolationMatrix:
+class InterpolationMatrix(NamedTuple):
     """(k-1) x (d+1) integer matrix; row r maps (g(0..d)) to g(d+r+1)."""
 
     d: int
@@ -62,15 +60,13 @@ class InterpolationMatrix:
         return [sum(e * v for e, v in zip(row, values)) for row in self.entries]
 
 
-@dataclass(frozen=True)
-class MatrixNorms:
+class MatrixNorms(NamedTuple):
     max: int
     frobenius: float
     spectral: float
 
 
-@dataclass(frozen=True)
-class Ellipsoid:
+class Ellipsoid(NamedTuple):
     """Axis-aligned-in-spectral-coordinates ellipsoid of bounded value vectors.
 
     Radii are (d+ell-1)/(2*max(sigma_i, 1)) where sigma_i are the singular
@@ -87,8 +83,7 @@ class Ellipsoid:
     prec_bits: int  # the working precision of the eigenvalues and logs
 
 
-@dataclass(frozen=True)
-class MinkowskiReport:
+class MinkowskiReport(NamedTuple):
     d: int
     k: int
     ell: int

@@ -7,6 +7,8 @@ stops at the first k that yields a witness.  One record is emitted per
 attempted (d, k) pair; the top record's time includes the chain.
 Found-records carry the best witness (minimal n, then lexicographically
 smallest coefficients) and re-verify from their coefficients alone.
+With jobs > 1, run_sweep creates a ProcessPoolExecutor for the degrees and
+imports it only there, so a one-job sweep never loads multiprocessing.
 Bad arguments raise ValueError before any lattice is reduced or any file is
 written; every later exception propagates, so a record is a search outcome.
 """
@@ -15,11 +17,9 @@ from __future__ import annotations
 import json
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .compression import CompressionWitness, check_window
 from .geometry import gh_ratios
@@ -28,8 +28,7 @@ from .lattice import harvest, lll_chain, lll_reduce  # noqa: F401
 from .polynomials import BinomialPoly
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     d: int
     k: int
     found: bool
@@ -217,6 +216,8 @@ def run_sweep(
         for d, schedule in zip(degrees, schedules):
             yield from search_degree(d, schedule)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for records in pool.map(search_degree, degrees, schedules):
             yield from records
@@ -239,8 +240,12 @@ def sweep_to_file(
     batch, and the file is opened only to append a finished batch, so an
     argument error (degree range, k_max, jobs) raises before the file is
     created or changed, and so does the SweepFileError of a malformed line.
+    A path that is a directory, or whose parent is not one, raises OSError
+    before any degree is searched.
     """
     path = Path(path)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"no such directory: {str(path.parent)!r}")
     data = path.read_bytes() if path.exists() else b""
     terminal = [(r.d, end) for r, end in _records(data) if r.found or r.k == 2]
     keep = terminal[-1][1] if terminal else 0

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .compression import CompressionWitness, best_window, check_window
 from .dynamics import common_preper_bound, common_preper_depth_search
@@ -123,8 +123,7 @@ def table2_source_poly(d: int) -> BinomialPoly:
     return _t2_source(d)[1]
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(NamedTuple):
     table_id: str
     rows: tuple[dict, ...]
 

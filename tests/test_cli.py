@@ -197,6 +197,21 @@ def test_sweep_rejects_bad_arguments_before_writing(runner, tmp_path, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_sweep_refuses_unwritable_out_before_searching(runner, tmp_path, monkeypatch, where):
+    # exit 2 before any degree is searched, and no file is created
+    def never(d, schedule):
+        raise AssertionError(f"searched degree {d}")
+
+    monkeypatch.setattr(sweep_mod, "search_degree", never)
+    out = tmp_path / "missing" / "sweep.jsonl" if where == "missing directory" else tmp_path
+    res = runner.invoke(main, ["sweep", "--from", "36", "--to", "37", "--out", str(out)])
+    assert res.exit_code == 2
+    assert "cannot write sweep file:" in res.output
+    assert "Traceback" not in res.output
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("bad", [
     b'{"d": 3, "k": 2, "found": "false", "m": null, "n": null, "coeffs": null}',
     b'{"d": 3, "k": 2, "m": null, "n": null, "coeffs": null}',

@@ -96,6 +96,43 @@ def test_environment_scan_sees_reads(tmp_path):
     ]
 
 
+def bare_dataclasses(path: Path) -> list[str]:
+    """file:line class for every @dataclass class in a file without a __post_init__."""
+    def named(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    return [
+        f"{path.name}:{node.lineno} {node.name}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(named(d) == "dataclass" for d in node.decorator_list)
+        and not any(isinstance(b, ast.FunctionDef) and b.name == "__post_init__"
+                    for b in node.body)
+    ]
+
+
+def test_dataclasses_only_validate():
+    # a dataclass builds its methods with exec at import, about 0.5 ms a
+    # class against 0.1 ms for a NamedTuple, so a plain record is a
+    # NamedTuple and @dataclass stays for classes that check their fields
+    assert [c for path in SOURCES for c in bare_dataclasses(path)] == []
+
+
+def test_dataclass_scan_sees_bare_records(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import dataclasses\nfrom dataclasses import dataclass\nfrom typing import NamedTuple\n"
+        "@dataclass\nclass A:\n    x: int\n"
+        "@dataclasses.dataclass(frozen=True)\nclass B:\n    x: int\n"
+        "    def check(self):\n        pass\n"
+        "@dataclass(frozen=True)\nclass C:\n    x: int\n"
+        "    def __post_init__(self):\n        pass\n"
+        "class D(NamedTuple):\n    x: int\n"
+    )
+    assert bare_dataclasses(sample) == ["sample.py:5 A", "sample.py:8 B"]
+
+
 def call_sites(path: Path, name: str) -> list[str]:
     """file:function for every call of name (by attribute or bare name) in a file.
 

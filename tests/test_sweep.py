@@ -1,6 +1,10 @@
 """Degree sweep: schedules, record round-trips, resume, and parallel runs."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -220,6 +224,18 @@ def test_run_sweep_deterministic_and_parallel():
     ds = [r.d for r in seq]
     assert ds == sorted(ds)
     assert {r.d for r in seq if r.found} == {2, 3, 4, 5}
+
+
+def test_cli_and_sweep_imports_load_no_worker_pool():
+    # only run_sweep's jobs > 1 branch imports the pool, so every other
+    # command starts without multiprocessing (about 3 MB of RSS)
+    src = str(Path(sweep_mod.__file__).resolve().parents[1])
+    code = ("import sys, dyncompress.cli, dyncompress.sweep\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == "[]\n"
 
 
 def test_run_sweep_found_records_pinned():
