@@ -9,9 +9,11 @@ preperiodic points.  Each fiber q is first settled modulo a large prime p
 that divides no denominator and neither leading coefficient: there
 deg gcd(f - q, f') over F_p >= deg gcd over Q (the lucky-prime lemma of
 modular gcds), so coprime images prove that the fiber has d distinct
-preimages.  Only the fibers the prime cannot clear take the exact rational
-gcd.  A complementary numerical depth search collects points with small
-forward orbits under two maps at once.
+preimages.  f reduces mod p straight from its binomial coefficients (p > d
+makes each i! a unit) and f' mod p is read off that image.  Only the
+fibers the prime cannot clear take the exact rational gcd, and only for
+them is f's rational form built.  A complementary numerical depth search
+collects points with small forward orbits under two maps at once.
 
 Rational orbits are decided exactly: cycle detection by hashing exact values,
 escape certified either by a radius beyond which |f(x)| > |x| or by a
@@ -48,7 +50,7 @@ from .compression import CompressionWitness, check_window
 from .polynomials import (
     BinomialPoly,
     RationalPoly,
-    coprime_shifts_mod_p,
+    coprime_fibers_mod_p,
     poly_gcd,
     squarefree_part,
 )
@@ -268,29 +270,34 @@ def preimage_count_exact(f: BinomialPoly, n: int) -> PreimageCount:
     number of lost (ramified) preimages, so totals obey
     d*n - d + 1 <= total <= d*n.
 
-    f and f' are reduced once modulo a fixed prime.  A fiber whose images
-    are coprime there has gcd 1 over Q too, so it counts d preimages with no
-    rational arithmetic (coprime_shifts_mod_p states the lemma).  One Euclid
-    per block of fibers, on f' and the block's product mod f', yields their
-    common factor G mod p: a unit clears the block, and otherwise each
-    fiber of the block is decided by Euclid on its image mod G.  Every
-    fiber left, ramified or not, takes the exact gcd over Q, so the result
-    is a certificate either way; exact_fibers says how many did.
+    f and f' are reduced once modulo a fixed prime p, straight from f's
+    binomial coefficients (coprime_fibers_mod_p; p > d makes each i! a
+    unit).  A fiber whose images are coprime there has gcd 1 over Q too, so
+    it counts d preimages with no rational arithmetic (coprime_shifts_mod_p
+    states the lemma).  One Euclid per block of fibers, on f' and the
+    block's product mod f', yields their common factor G mod p: a unit
+    clears the block, and otherwise each fiber of the block is decided by
+    Euclid on its image mod G.  Every fiber left, ramified or not, takes
+    the exact gcd over Q, so the result is a certificate either way;
+    exact_fibers says how many did.  f's rational form and its derivative
+    are built only when one does.
     """
     if f.degree < 2:
         raise ValueError("preimage counting needs degree >= 2")
     if n < 1:
         raise ValueError("n must be positive")
-    fm = f.to_monomial()
-    fprime = fm.derivative()
-    d = fm.degree
+    d = f.degree
     fibers = range(1, n + 1)
     per = []
     exact = 0
-    for q, coprime in zip(fibers, coprime_shifts_mod_p(fm, fprime, fibers)):
+    fm = fprime = None
+    for q, coprime in zip(fibers, coprime_fibers_mod_p(f, fibers)):
         if coprime:
             per.append(d)
             continue
+        if fm is None:
+            fm = f.to_monomial()
+            fprime = fm.derivative()
         exact += 1
         g = poly_gcd(fm - q, fprime)
         per.append(d - g.degree)
@@ -389,6 +396,29 @@ def _seed_roots(coeffs) -> Optional[list]:
     return roots
 
 
+def _rescaled_seed_roots(coeffs) -> Optional[list]:
+    """_seed_roots on the polynomial with its roots scaled by 2^-e, mapped back, or None.
+
+    With monic coefficients c_k (c_0 = 1) and e = max over c_k != 0 of
+    ceil(mag(c_k) / k), the monic polynomial of the roots z / 2^e has
+    coefficients c_k 2^(-k e), each at most 1 in modulus.  Scaling by a
+    power of 2 is exact in both directions, so each seed w maps back to the
+    mpc 2^e w with mp.ldexp.  None when e = 0 (the polynomial is the one the
+    plain pass saw), when every c_k with k >= 1 is 0, and when the pass on
+    the scaled polynomial returns None.
+    """
+    lead = coeffs[0]
+    monic = [c / lead for c in coeffs[1:]]
+    exponents = [-(-mp.mag(c) // k) for k, c in enumerate(monic, 1) if c]
+    e = max(exponents, default=0)
+    if e == 0:
+        return None
+    seeds = _seed_roots([mp.mpf(1)] + [c * mp.ldexp(1, -k * e) for k, c in enumerate(monic, 1)])
+    if seeds is None:
+        return None
+    return [mp.mpc(mp.ldexp(w.real, e), mp.ldexp(w.imag, e)) for w in seeds]
+
+
 # The guard-bit ladder of _poly_roots; _quadratic_pull works at the first rung.
 _GUARD_BITS = (60, 200)
 
@@ -419,14 +449,29 @@ def _poly_roots(coeffs_mpc, label: str):
     every call of the censuses of the degree 2 and 3 records the tests pin.
     Both rungs start from the same seeds.
 
+    When the seed pass returns None it runs once more on the monic
+    polynomial with its roots scaled by 2^-e (_rescaled_seed_roots), which
+    brings roots of any size near 1.  For x^2 - 2^1100 the plain pass
+    returns None (the monic coefficient is not a finite double) and for
+    x^2 - 2^900 it runs out of sweeps; the cold start failed at 128, 1024
+    and 4096 bits on the first and at 1024 and 4096 on the second, and the
+    rescaled seeds converge at every precision.  A call whose plain pass
+    succeeds never reaches the rescaled one.
+
     When both rungs fail, RootFindingError names the working precision, the
     rungs and the start.  It gives no advice, as more precision need not
-    help: for x^2 - 2^1100 the seed pass returns None (the monic coefficient
-    is not a finite double), and the cold start fails at 128, 1024 and 4096
-    bits but converges at 256.
+    help.
     """
     seeds = _seed_roots(coeffs_mpc)
-    roots_init = None if seeds is None else [mp.mpc(z) for z in seeds]
+    start = "the double-precision seeds"
+    if seeds is None:
+        seeds = _rescaled_seed_roots(coeffs_mpc)
+        start = "the rescaled double-precision seeds"
+    if seeds is None:
+        start = "the cold start, as the double-precision seed pass returned None"
+        roots_init = None
+    else:
+        roots_init = [mp.mpc(z) for z in seeds]
     last_exc = None
     for extra in _GUARD_BITS:
         try:
@@ -435,10 +480,6 @@ def _poly_roots(coeffs_mpc, label: str):
             )
         except NoConvergence as exc:
             last_exc = exc
-    if seeds is None:
-        start = "the cold start, as the double-precision seed pass returned None"
-    else:
-        start = "the double-precision seeds"
     raise RootFindingError(
         f"root finding failed to converge for {label} at {mp.mp.prec} bits with "
         f"{' and '.join(map(str, _GUARD_BITS))} guard bits, from {start}"

@@ -10,7 +10,8 @@ providing compression witnesses at every degree.
 The pattern is its own difference table: SIGN_BASE[m+1] - SIGN_BASE[m] =
 SIGN_BASE[m+2] (indices mod 6).  On [3, d+3] compressing_poly(d) is the
 pattern at x - 3 plus 2 (d even) or (d+3) - (x-3) (d odd), so its binomial
-coefficients at base 3, periodic_sign(2i, d) plus the line's, take O(d).
+coefficients at base 3, periodic_sign(2i, d) plus the line's, take O(d); in i
+they repeat with period 3.
 """
 from __future__ import annotations
 
@@ -123,11 +124,18 @@ def compressing_poly_binomial(d: int) -> BinomialPoly:
     """compressing_poly(d) in the binomial basis, in O(d) additions.
 
     Since Delta^i of the pattern at m is the pattern at m + 2i, the
-    coefficients at base 3 are periodic_sign(2i, d) plus those of the line
-    2 (d even) or (d+3) - (x-3) (d odd); shift_argument(-3) re-bases them.
+    coefficients at base 3 are periodic_sign(2i, d), 3-periodic in i, plus
+    those of the line 2 (d even) or (d+3) - (x-3) (d odd): one period
+    repeated to length d + 1, with the line added to its first entries, and
+    shift_argument(-3) re-bases them.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    line = BinomialPoly((2,) if d % 2 == 0 else (d + 3, -1))
-    pattern = BinomialPoly(tuple(periodic_sign(2 * i, d) for i in range(d + 1)))
-    return (pattern + line).shift_argument(-3)
+    period = [periodic_sign(2 * i, d) for i in range(3)]
+    coeffs = (period * (d // 3 + 1))[: d + 1]
+    if d % 2 == 0:
+        coeffs[0] += 2
+    else:
+        coeffs[0] += d + 3
+        coeffs[1] -= 1
+    return BinomialPoly(tuple(coeffs)).shift_argument(-3)

@@ -9,6 +9,13 @@ subtractions.  Ordinary
 monomial-basis polynomials over exact rationals (RationalPoly) exist for
 constructions that need half-integer shifts and calculus-style manipulation.
 Everything in this module is exact; no floating point.
+
+The modular certificate of coprimality works in F_p for the prime _PRIME.
+A BinomialPoly reduces into F_p straight from its binomial coefficients,
+as sum a_i (i!)^-1 x(x-1)...(x-i+1) by one nested Horner: p exceeds the
+degree, so each i! is a unit, and no rational form is built.  A
+RationalPoly reduces coefficient by coefficient over its denominators'
+lcm.
 """
 from __future__ import annotations
 
@@ -317,15 +324,25 @@ def interpolate(values: Sequence[int], start: int = 0) -> BinomialPoly:
 def to_binomial(f: RationalPoly) -> BinomialPoly:
     """Convert an integer-valued RationalPoly to the binomial basis.
 
-    Raises ValueError when f is not integer-valued.
+    Raises ValueError when f is not integer-valued.  f = N / D with D the
+    lcm of the denominators, and N(0), ..., N(d) are evaluated by Horner in
+    integers; each must be divisible by D, and the quotients are the values
+    that interpolate takes.
     """
     if not f.coeffs:
         return BinomialPoly(())
-    vals = [f(i) for i in range(f.degree + 1)]
-    for i, v in enumerate(vals):
-        if v.denominator != 1:
-            raise ValueError(f"not integer-valued: f({i}) = {v}")
-    return interpolate([int(v) for v in vals])
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    numer = [c.numerator * (den // c.denominator) for c in reversed(f.coeffs)]
+    vals = []
+    for i in range(f.degree + 1):
+        acc = 0
+        for c in numer:
+            acc = acc * i + c
+        v, rem = divmod(acc, den)
+        if rem:
+            raise ValueError(f"not integer-valued: f({i}) = {Fraction(acc, den)}")
+        vals.append(v)
+    return interpolate(vals)
 
 
 def _primitive(coeffs: list[int]) -> list[int]:
@@ -418,11 +435,13 @@ def poly_divmod(f: RationalPoly, g: RationalPoly) -> tuple[RationalPoly, Rationa
     return RationalPoly(tuple(quot)), RationalPoly(tuple(rem))
 
 
-# The prime of coprime_shifts_mod_p, read at call time: the largest prime
-# below 2^30, so a residue is one CPython digit and a product of two is two.
-# Denominators of integer-valued polynomials divide d! and p exceeds every
-# degree the package reaches, so p divides none; a leading numerator that p
-# divides leaves f with no image, and every fiber takes the exact gcd.
+# The prime of the modular certificates, read at call time: the largest
+# prime below 2^30, so a residue is one CPython digit and a product of two
+# is two.  p exceeds every degree the package reaches, so each i! with
+# i <= d is a unit mod p and an integer-valued f reduces straight from its
+# binomial coefficients (_binomial_image_mod); only a map whose leading
+# coefficient p divides has no image, and then every fiber takes the exact
+# gcd.
 _PRIME = 2**30 - 35
 
 
@@ -438,6 +457,32 @@ def _image_mod(f: RationalPoly, p: int) -> list[int] | None:
     inv = pow(den, -1, p)
     out = [c.numerator * (den // c.denominator) * inv % p for c in reversed(f.coeffs)]
     return out if out[0] else None
+
+
+def _binomial_image_mod(f: BinomialPoly, p: int) -> list[int] | None:
+    """Monomial coefficients of f = sum a_i C(x, i) modulo p, highest degree first.
+
+    The same list as _image_mod(f.to_monomial(), p), without the rational
+    form: with b_i = a_i (i!)^-1 mod p, f = b_0 + x (b_1 + (x - 1) (b_2 +
+    ... + (x - d + 1) b_d)), one nested Horner over one-digit residues.
+    None when p <= d, where i! is not a unit for i >= p, and when p divides
+    the leading coefficient (the image drops degree).
+    """
+    a, d = f.coeffs, f.degree
+    if not 0 <= d < p:
+        return None
+    fact = 1
+    for i in range(2, d + 1):
+        fact = fact * i % p
+    inv = pow(fact, -1, p)  # (i!)^-1 at i = d, then downwards
+    acc = [a[d] * inv % p]
+    if not acc[0]:
+        return None
+    for i in range(d - 1, -1, -1):
+        inv = inv * (i + 1) % p
+        acc = [(u - i * v) % p for u, v in zip([*acc, 0], [0, *acc])]  # times x - i
+        acc[-1] = (acc[-1] + a[i] * inv) % p
+    return acc
 
 
 def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
@@ -486,6 +531,36 @@ def coprime_shifts_mod_p(
     therefore a proof of coprimality over Q.  A False entry proves nothing:
     p divides a denominator or a leading coefficient, or the images share a
     factor, possibly one that exists only mod p.  Decide those exactly.
+    _coprime_shifts_of_images decides the shifts from the two images.
+    """
+    if f.degree < 1 or not g.coeffs:
+        raise ValueError("need deg f >= 1 and g nonzero")
+    p = _PRIME
+    return _coprime_shifts_of_images(_image_mod(f, p), _image_mod(g, p), shifts, p)
+
+
+def coprime_fibers_mod_p(f: BinomialPoly, shifts: Sequence[int]) -> list[bool]:
+    """coprime_shifts_mod_p(f.to_monomial(), its derivative, shifts), without either.
+
+    f mod p comes straight from its binomial coefficients
+    (_binomial_image_mod) and f' mod p is read off that image, so neither
+    rational form is built; the answers are the same, entry for entry,
+    because both routes give the same two images.
+    """
+    if f.degree < 1:
+        raise ValueError("need deg f >= 1")
+    p, d = _PRIME, f.degree
+    fa = _binomial_image_mod(f, p)
+    fb = None if fa is None else [c * (d - k) % p for k, c in enumerate(fa[:-1])]
+    return _coprime_shifts_of_images(fa, fb, shifts, p)
+
+
+def _coprime_shifts_of_images(
+    fa: list[int] | None, gb: list[int] | None, shifts: Sequence[int], p: int
+) -> list[bool]:
+    """The modular certificate on the images fa of f and gb of g, highest degree first.
+
+    Either image None (no image) makes every entry False.
 
     One Euclid decides a block of shifts.  With r = f mod g in F_p[x] (a
     long division: deg f - deg g + 1 rows, two when g = f'), f - c = r - c
@@ -503,10 +578,6 @@ def coprime_shifts_mod_p(
     the matrix of r^s per chunk, so a block of s^2 shifts takes s
     matrix-vector products instead of s^2.
     """
-    if f.degree < 1 or not g.coeffs:
-        raise ValueError("need deg f >= 1 and g nonzero")
-    p = _PRIME
-    fa, gb = _image_mod(f, p), _image_mod(g, p)
     if fa is None or gb is None:
         return [False] * len(shifts)
     m = len(gb) - 1

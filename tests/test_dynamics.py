@@ -51,6 +51,19 @@ def preimage_counts_by_gcd(f, n):
     return tuple(fm.degree - poly_gcd(fm - q, fprime).degree for q in range(1, n + 1))
 
 
+def count_to_monomial_calls(monkeypatch):
+    """The list that records every BinomialPoly.to_monomial call from here on."""
+    calls = []
+    to_monomial = BinomialPoly.to_monomial
+
+    def counting(self):
+        calls.append(self)
+        return to_monomial(self)
+
+    monkeypatch.setattr(BinomialPoly, "to_monomial", counting)
+    return calls
+
+
 def iterate_exactly(f, x, steps):
     """The orbit points x, f(x), ..., f^steps(x) by plain Fraction iteration."""
     points = [Fraction(x)]
@@ -223,14 +236,7 @@ def test_preper_search_computes_map_data_once(monkeypatch, f, bound, max_denomin
     }
     expected = sorted(z for z in points if orbit(f, z, max_steps=cap).status == "periodic")
 
-    calls = []
-    to_monomial = BinomialPoly.to_monomial
-
-    def counting(self):
-        calls.append(self)
-        return to_monomial(self)
-
-    monkeypatch.setattr(BinomialPoly, "to_monomial", counting)
+    calls = count_to_monomial_calls(monkeypatch)
     assert preper_search_rational(f, bound, max_denominator) == expected
     assert len(calls) <= 2
 
@@ -361,6 +367,33 @@ def test_preimage_count_lead_divisible_by_the_prime():
     pc = preimage_count_exact(f, 5)
     assert pc.per_fiber == preimage_counts_by_gcd(f, 5)
     assert pc.exact_fibers == 5
+
+
+def test_preimage_count_builds_the_rational_form_only_for_exact_fibers(monkeypatch):
+    # the prime clears every fiber of r_2..r_80's windows from the binomial
+    # coefficients alone; a map the prime cannot reduce builds f's rational
+    # form once for all its exact gcds
+    calls = count_to_monomial_calls(monkeypatch)
+    for d in range(2, 81):
+        n = d + 5 if d % 2 == 0 else d + 4
+        assert preimage_count_exact(compressing_poly_binomial(d), n).exact_fibers == 0
+    assert calls == []
+    f = BinomialPoly((1, 0, 2 * polynomials._PRIME))
+    assert preimage_count_exact(f, 5).exact_fibers == 5
+    assert calls == [f]
+
+
+@pytest.mark.parametrize("d,p", [(3, 3), (7, 5), (11, 11)])
+def test_preimage_count_with_a_prime_at_most_the_degree(monkeypatch, d, p):
+    # p <= d leaves no image (d! is 0 mod p), so every fiber takes the exact
+    # gcd and the counts are the production prime's
+    f = compressing_poly_binomial(d)
+    n = d + 5 if d % 2 == 0 else d + 4
+    want = preimage_count_exact(f, n)
+    monkeypatch.setattr(polynomials, "_PRIME", p)
+    got = preimage_count_exact(f, n)
+    assert (got.per_fiber, got.total) == (want.per_fiber, want.total)
+    assert got.exact_fibers == n
 
 
 def test_common_bound_reach_needs_no_exact_gcd(monkeypatch):
@@ -676,10 +709,12 @@ def test_seed_roots_rejects_coefficients_beyond_doubles(monkeypatch):
         coeffs = [mp.mpf(1), huge, mp.mpf(1)]
         cold = cold_roots(coeffs)
         # rejected before any Durand-Kerner sweep, which would call _l1
-        monkeypatch.setattr(dynamics, "_l1", None)
-        for bad in (coeffs, [1 / huge, 1, 1], [1, 1, mp.mpc(1, huge)]):
-            assert dynamics._seed_roots(bad) is None
-        # the cold start still finds the roots
+        with monkeypatch.context() as patched:
+            patched.setattr(dynamics, "_l1", None)
+            for bad in (coeffs, [1 / huge, 1, 1], [1, 1, mp.mpc(1, huge)]):
+                assert dynamics._seed_roots(bad) is None
+        # seeds from the rescaled pass give the cold start's roots
+        assert dynamics._rescaled_seed_roots(coeffs) is not None
         assert_same_roots(dynamics._poly_roots(coeffs, "huge"), cold)
 
 
@@ -1153,19 +1188,68 @@ def test_depth_search_raises_when_root_finding_never_converges(monkeypatch):
     )
 
 
-def test_root_finding_error_names_the_cold_start():
-    # 2^1100 is no finite double, so the seed pass returns None, and the cold
-    # start fails at 128 bits but converges at 256: the error must not
-    # advise more precision
-    f = to_binomial(RationalPoly((-(2**1100), 0, 1)))
+def test_root_finding_error_names_the_cold_start(monkeypatch):
+    # with no seeds from either seed pass, the error names the cold start
+    # and gives no advice: more precision need not help
+    tried = []
+
+    def never(coeffs, maxsteps, extraprec, roots_init=None):
+        tried.append(roots_init)
+        raise NoConvergence("synthetic")
+
+    monkeypatch.setattr(dynamics, "_seed_roots", lambda coeffs: None)
+    monkeypatch.setattr(dynamics.mp, "polyroots", never)
     with pytest.raises(RootFindingError) as info:
-        common_preper_depth_search(f, f, 0, 1)
+        common_preper_depth_search(QUAD, QUAD + 1, 0, 1)
+    assert tried == [None, None]
     assert str(info.value) == (
         "root finding failed to converge for cycle length 1 at 128 bits with "
         "60 and 200 guard bits, from the cold start, as the double-precision "
         "seed pass returned None"
     )
-    assert common_preper_depth_search(f, f, 0, 1, precision_bits=256).count == 2
+
+
+@pytest.mark.parametrize("e,bits", [
+    (1100, 128), (1100, 256), (1100, 1024), (1100, 4096),
+    (900, 128), (900, 256), (900, 1024), (900, 4096),
+])
+def test_depth_search_rescales_seeds_of_huge_roots(e, bits):
+    # 2^1100 is no finite double and the plain seed pass on x^2 - 2^900 runs
+    # out of sweeps; the cold start failed at 128, 1024 and 4096 bits on the
+    # first and at 1024 and 4096 on the second.  The pass on the polynomial
+    # of the roots scaled by 2^-e finds both fixed points at every precision
+    f = to_binomial(RationalPoly((-(2**e), 0, 1)))
+    with mp.workprec(bits):
+        coeffs = [mp.mpf(1), mp.mpf(-1), -mp.mpf(2) ** e]
+        assert dynamics._seed_roots(coeffs) is None
+        seeds = dynamics._rescaled_seed_roots(coeffs)
+        assert len(seeds) == 2
+        assert all(abs(z ** 2 - z - mp.mpf(2) ** e) < mp.mpf(2) ** (e - 40) for z in seeds)
+    assert common_preper_depth_search(f, f, 0, 1, precision_bits=bits).count == 2
+
+
+def test_rescaled_seeds_are_named_when_root_finding_fails(monkeypatch):
+    inits = []
+
+    def never(coeffs, maxsteps, extraprec, roots_init=None):
+        inits.append(roots_init)
+        raise NoConvergence("synthetic")
+
+    monkeypatch.setattr(dynamics.mp, "polyroots", never)
+    f = to_binomial(RationalPoly((-(2**1100), 0, 1)))
+    with pytest.raises(RootFindingError) as info:
+        common_preper_depth_search(f, f, 0, 1)
+    assert str(info.value).endswith("from the rescaled double-precision seeds")
+    # both rungs start from the same seeds, mapped back exactly by 2^550
+    assert len(inits) == 2 and inits[0] == inits[1]
+    assert all(abs(abs(z) / mp.mpf(2) ** 550 - 1) < 1e-12 for z in inits[0])
+
+
+def test_rescaled_seed_pass_declines_an_unscaled_polynomial():
+    # e = 0 puts the plain pass's polynomial through again, and x^k alone
+    # has no coefficient to scale by
+    assert dynamics._rescaled_seed_roots([mp.mpf(1), mp.mpf(-2), mp.mpf(1)]) is None
+    assert dynamics._rescaled_seed_roots([mp.mpf(3), mp.mpf(0), mp.mpf(0)]) is None
 
 
 def test_depth_search_validation():

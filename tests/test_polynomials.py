@@ -377,6 +377,47 @@ def test_image_mod_matches_per_coefficient_inverses(p, f):
     assert polynomials._image_mod(f, p) == image_mod(f, p)
 
 
+@kernel_settings
+@given(
+    p=st.sampled_from([2, 3, 7, 31, polynomials._PRIME, 2**61 - 1]),
+    f=st.lists(st.one_of(small_ints, big_ints), min_size=1, max_size=24).map(
+        lambda cs: BinomialPoly(tuple(cs))
+    ).filter(lambda f: f.degree >= 0),
+)
+@example(p=polynomials._PRIME, f=BinomialPoly((1, 0, 2 * polynomials._PRIME)))
+@example(p=7, f=BinomialPoly((3, 1, 4, 1, 5, 9, 2)))
+@example(p=7, f=BinomialPoly((3, 1, 4, 1, 5, 9, 2, 6)))
+@example(p=2, f=BinomialPoly((0, 2, 2)))
+def test_binomial_image_mod_matches_the_monomial_route(p, f):
+    # the nested Horner over (i!)^-1 mod p gives f.to_monomial() mod p when
+    # p > deg f; the examples put p into the lead (p x^2 - p x + 1 for the
+    # production prime), at deg f - 1 and deg f (the last i! that is a unit,
+    # the first that is not), and at deg f for x^2 + x, which does have a
+    # monomial image mod 2
+    got = polynomials._binomial_image_mod(f, p)
+    assert got == (None if f.degree >= p else polynomials._image_mod(f.to_monomial(), p))
+
+
+@kernel_settings
+@given(
+    p=st.sampled_from([2, 3, 7, polynomials._PRIME]),
+    f=st.lists(small_ints, min_size=2, max_size=9).map(lambda cs: BinomialPoly(tuple(cs))),
+    shifts=st.lists(st.one_of(small_ints, st.integers(-(2**64), 2**64)), max_size=14),
+)
+def test_coprime_fibers_mod_p_matches_the_rational_front_end(p, f, shifts):
+    # the binomial route answers as coprime_shifts_mod_p on f and f' when
+    # p > deg f, and clears nothing when p <= deg f
+    if f.degree < 1:
+        with pytest.raises(ValueError):
+            polynomials.coprime_fibers_mod_p(f, shifts)
+        return
+    with mock.patch.object(polynomials, "_PRIME", p):
+        got = polynomials.coprime_fibers_mod_p(f, shifts)
+        fm = f.to_monomial()
+        want = coprime_shifts_mod_p(fm, fm.derivative(), shifts)
+    assert got == (want if f.degree < p else [False] * len(shifts))
+
+
 def coprime_shifts_by_monic_euclid(f, g, shifts, p):
     """coprime_shifts_mod_p's reference: one monic Euclid on f - c and g per shift."""
     fa, gb = image_mod(f, p), image_mod(g, p)
